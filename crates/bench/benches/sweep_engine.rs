@@ -516,6 +516,7 @@ fn main() {
     doc.insert("sweep_threads".into(), effective_threads.to_string());
     doc.insert("effective_threads".into(), effective_threads.to_string());
     doc.insert("host_threads".into(), host_threads.to_string());
+    doc.insert("effort".into(), format!("{effort:?}").to_lowercase());
     doc.insert("seq_uncached_ms".into(), format!("{seq_uncached_ms:.3}"));
     doc.insert("seq_cached_ms".into(), format!("{seq_cached_ms:.3}"));
     doc.insert("par_cached_ms".into(), format!("{par_cached_ms:.3}"));

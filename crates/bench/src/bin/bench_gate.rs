@@ -10,10 +10,11 @@
 //! Gated keys, three polarity classes:
 //!
 //! * `speedup` and `memo_speedup` — floored against the baseline, but
-//!   only when the `sweep_threads` context matches between the two
-//!   documents (a ratio measured at one worker count diffed against a
-//!   baseline measured at another is a confound, and is skipped with a
-//!   notice instead of compared).
+//!   only when the run context matches between the two documents: the
+//!   pinned `sweep_threads`, the recording host's `host_threads` and the
+//!   calibration `effort`. A ratio measured on another core count or
+//!   effort level is a confound, and is skipped with a notice instead of
+//!   compared.
 //! * `obs_overhead_pct` — capped at an absolute budget: the recorder may
 //!   not slow the steady-state sweep by more than 3%.
 //! * `batched_speedup` and `parallel_efficiency_t{2,4,8}` — absolute
@@ -38,7 +39,7 @@ use std::process::ExitCode;
 const GATED_KEYS: [&str; 2] = ["speedup", "memo_speedup"];
 /// Run-configuration keys that must match before the baseline-relative
 /// keys are compared at all.
-const GUARD_KEYS: [&str; 1] = ["sweep_threads"];
+const GUARD_KEYS: [&str; 3] = ["sweep_threads", "host_threads", "effort"];
 const CEILINGS: [(&str, f64); 1] = [("obs_overhead_pct", 3.0)];
 /// Absolute minimums a fresh run must clear regardless of baseline. The
 /// efficiency floors are deliberately below the typical curve (a 4-core
@@ -61,11 +62,12 @@ const FLOORS: [(&str, f64); 5] = [
 /// `BENCH_sweep.json` (echoed for the same reason: wall-clock and RSS
 /// on shared runners are too noisy to floor — the invariants those
 /// numbers ride on are asserted by tests, not this diff).
-const CONTEXT_KEYS: [&str; 13] = [
+const CONTEXT_KEYS: [&str; 14] = [
     "search_evals_per_sec",
     "sweep_threads",
     "effective_threads",
     "host_threads",
+    "effort",
     "speedup_t2",
     "speedup_t4",
     "speedup_t8",

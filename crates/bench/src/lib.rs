@@ -451,6 +451,25 @@ mod tests {
     }
 
     #[test]
+    fn regression_gate_guards_host_and_effort_like_for_like() {
+        // Same pinned worker count, but a different host core count or
+        // calibration effort: the ratios are not comparable.
+        let guards = ["sweep_threads", "host_threads", "effort"];
+        let keys = ["speedup"];
+        let baseline = r#"{"speedup":"2.0","sweep_threads":"4","host_threads":"2","effort":"quick"}"#;
+        for (fresh, guard) in [
+            (r#"{"speedup":"1.0","sweep_threads":"4","host_threads":"8","effort":"quick"}"#, "host_threads"),
+            (r#"{"speedup":"1.0","sweep_threads":"4","host_threads":"2","effort":"full"}"#, "effort"),
+        ] {
+            let report =
+                super::check_regression(baseline, fresh, &keys, 0.10, &guards).expect("skipped");
+            assert!(report[0].contains("gate skipped") && report[0].contains(guard), "{report:?}");
+        }
+        let same = r#"{"speedup":"1.0","sweep_threads":"4","host_threads":"2","effort":"quick"}"#;
+        assert!(super::check_regression(baseline, same, &keys, 0.10, &guards).is_err());
+    }
+
+    #[test]
     fn floor_gate_requires_minimums_and_skips_missing_keys() {
         let floors = [("batched_speedup", 1.15), ("parallel_efficiency_t4", 0.25)];
         let ok = r#"{"batched_speedup":"1.31"}"#;

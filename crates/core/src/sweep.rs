@@ -3,7 +3,7 @@
 //! The paper's value is not one prediction but a matrix of them — batch
 //! sizes × devices × graph mutations (§V-A) — and serving such sweeps
 //! fast is the production workload this crate targets. [`SweepEngine`]
-//! fans a [`Scenario`] list across worker threads (a crossbeam-scoped
+//! fans a [`Scenario`] list across worker threads (a scoped
 //! pool pulling indices from a shared claim counter, so fast workers
 //! steal whatever slow workers have not started), answers kernel-model
 //! queries from one [`MemoCache`] per calibrated pipeline, honors a
@@ -31,7 +31,6 @@
 //! pins that property.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -39,7 +38,7 @@ use dlperf_graph::transform::{
     fuse_embedding_bags, hoist_earliest, replace_op, resize_batch, TransformError,
 };
 use dlperf_graph::{Graph, NodeId, OpKind};
-use dlperf_kernels::{CachePadded, MemoCache, MemoCacheStats};
+use dlperf_kernels::{MemoCache, MemoCacheStats};
 use dlperf_runtime::{
     CancellationToken, JobContext, JobError, ResumableJob, RunReport, StepOutcome, Supervisor,
     SupervisorError,
@@ -399,107 +398,9 @@ impl SweepOutcome {
     }
 }
 
-/// Work-distributing parallel map with cooperative cancellation: applies
-/// `f` to every item on `threads` scoped workers that claim indices from
-/// a shared counter (dynamic self-scheduling — idle workers take over
-/// remaining items regardless of which worker "owned" them). Results land
-/// in input order; a cancelled run leaves `None` in the unvisited slots.
-///
-/// This is the engine's execution primitive, public so other crates
-/// (e.g. `dlperf-distrib`) can fan custom scenario types across the same
-/// machinery.
-///
-/// # Panics
-/// Propagates panics from `f`.
-pub fn par_map<S, R, F>(
-    threads: usize,
-    token: &CancellationToken,
-    items: &[S],
-    f: F,
-) -> Vec<Option<R>>
-where
-    S: Sync,
-    R: Send,
-    F: Fn(usize, &S) -> R + Sync,
-{
-    par_map_with(threads, token, items, || (), |_, i, s| f(i, s))
-}
-
-/// [`par_map`] with a per-worker context: each worker (or the one
-/// sequential loop) calls `init` once and threads the resulting value
-/// mutably through every item it claims. This is how the sweep engine
-/// hands each worker a reusable [`WalkScratch`] — the context lives
-/// exactly as long as the worker, so scratch capacity amortizes across
-/// all the items that worker steals, and contexts never cross threads.
-///
-/// The context must not influence results (the engine's contexts are
-/// buffer pools, invisible by construction); under that condition the
-/// determinism contract of [`par_map`] carries over unchanged.
-///
-/// # Panics
-/// Propagates panics from `init` and `f`.
-pub fn par_map_with<S, R, C, I, F>(
-    threads: usize,
-    token: &CancellationToken,
-    items: &[S],
-    init: I,
-    f: F,
-) -> Vec<Option<R>>
-where
-    S: Sync,
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, &S) -> R + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || items.len() <= 1 {
-        // The sequential reference path: same claim order, same results.
-        let mut ctx = init();
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            if token.is_cancelled() {
-                out.push(None);
-                continue;
-            }
-            out.push(Some(f(&mut ctx, i, item)));
-        }
-        return out;
-    }
-
-    // Cache-line padding keeps the hammered claim counter off whatever
-    // line the channel internals or worker stacks land on.
-    let next = CachePadded(AtomicUsize::new(0));
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(items.len()) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            let init = &init;
-            s.spawn(move |_| {
-                let mut ctx = init();
-                loop {
-                    let i = next.0.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() || token.is_cancelled() {
-                        return;
-                    }
-                    let r = f(&mut ctx, i, &items[i]);
-                    // The receiver outlives the scope; send cannot fail.
-                    if tx.send((i, r)).is_err() {
-                        unreachable!("sweep result channel closed");
-                    }
-                }
-            });
-        }
-        drop(tx);
-    })
-    .expect("sweep worker panicked");
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in rx.iter() {
-        out[i] = Some(r);
-    }
-    out
-}
+/// The engine's execution primitive, re-exported from `dlperf-runtime` so
+/// existing callers (`dlperf-distrib`, ingestion, search) keep their paths.
+pub use dlperf_runtime::{par_map, par_map_with};
 
 /// Applies a mutation list to a base graph — a deterministic pure
 /// function of `(base, mutations)`, which is what makes sharing its

@@ -18,6 +18,11 @@
 //! microbenchmark-cost-saving insight — and [`error`] computes the GMAE /
 //! mean / std statistics of Table IV.
 //!
+//! Calibrating a device measures every sweep sequentially (the simulated
+//! GPU's noise is one sequential RNG stream) and then trains the ML
+//! families in parallel (training dominates the cost, and each family's
+//! fit is independent); see [`registry::ModelRegistry::calibrate_bundle`].
+//!
 //! ## Example
 //!
 //! ```

@@ -56,14 +56,9 @@ use crate::registry::{Confidence, ModelRegistry};
 /// contention low at sweep-level thread counts without bloating the map.
 const SHARDS: usize = 16;
 
-/// Pads its contents to a 64-byte cache line so two frequently-written
-/// atomics (the cache's hit/miss counters, the sweep engine's work-claim
-/// counter) never share a line — false sharing turns every counter bump
-/// into cross-core cache-line ping-pong. Wrap each hot atomic separately;
-/// access the value through `.0`.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T>(pub T);
+/// Cache-line padding for the cache's hot atomics, re-exported from
+/// `dlperf-runtime` (which owns it alongside `par_map`'s claim counter).
+pub use dlperf_runtime::CachePadded;
 
 /// The cache key: kernel family plus every model-visible input field.
 ///

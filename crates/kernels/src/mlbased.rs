@@ -122,20 +122,9 @@ impl MlKernelModel {
     /// # Panics
     /// Panics on empty or mixed-family samples.
     pub fn train(samples: &[Sample], cfg: &TrainConfig, seed: u64) -> Self {
-        let family = samples[0].kernel.family();
         let data = dataset_of(samples);
         let model = train(&data, cfg, seed);
-        let log_ratio_sum: f64 = samples
-            .iter()
-            .map(|s| {
-                let pred = model.predict_one(&features(&s.kernel)).max(1e-9);
-                (s.time_us / pred).ln()
-            })
-            .sum();
-        let correction = (log_ratio_sum / samples.len() as f64).exp();
-        let mut m = MlKernelModel { family, model, correction, stats: None };
-        m.stats = m.measure_stats(samples);
-        m
+        Self::fitted(samples, &data, model)
     }
 
     /// Trains via the Table II grid search, keeping the configuration with
@@ -147,29 +136,27 @@ impl MlKernelModel {
         threads: usize,
         seed: u64,
     ) -> Self {
-        let family = samples[0].kernel.family();
         let data = dataset_of(samples);
         let result = grid_search(&data, space, epochs, threads, seed);
-        let model = result.model;
-        let log_ratio_sum: f64 = samples
-            .iter()
-            .map(|s| {
-                let pred = model.predict_one(&features(&s.kernel)).max(1e-9);
-                (s.time_us / pred).ln()
-            })
-            .sum();
-        let correction = (log_ratio_sum / samples.len() as f64).exp();
-        let mut m = MlKernelModel { family, model, correction, stats: None };
-        m.stats = m.measure_stats(samples);
-        m
+        Self::fitted(samples, &data, result.model)
     }
 
-    /// Error statistics of the finished model over its own training set —
-    /// prediction exactly as served (correction and clamp included).
-    fn measure_stats(&self, samples: &[Sample]) -> Option<ErrorStats> {
-        let preds: Vec<f64> = samples.iter().map(|s| self.predict(&s.kernel)).collect();
+    /// Wraps a regressor trained on `data` (= [`dataset_of`]`(samples)`)
+    /// with its correction factor and its training-set error statistics —
+    /// prediction exactly as served (correction and clamp included). One
+    /// batched forward over the training rows, bitwise equal to per-sample
+    /// [`MlKernelModel::predict`].
+    fn fitted(samples: &[Sample], data: &Dataset, model: TrainedModel) -> Self {
+        let mut raw = Vec::with_capacity(samples.len());
+        let feats = data.x.as_slice().to_vec();
+        model.predict_flat_into(feats, samples.len(), &mut ScratchArena::new(), &mut raw);
+        let log_ratio_sum: f64 =
+            samples.iter().zip(&raw).map(|(s, p)| (s.time_us / p.max(1e-9)).ln()).sum();
+        let correction = (log_ratio_sum / samples.len() as f64).exp();
+        let preds: Vec<f64> = raw.iter().map(|p| (p * correction).max(0.01)).collect();
         let actual: Vec<f64> = samples.iter().map(|s| s.time_us).collect();
-        ErrorStats::try_from_pairs(&preds, &actual).ok()
+        let stats = ErrorStats::try_from_pairs(&preds, &actual).ok();
+        MlKernelModel { family: samples[0].kernel.family(), model, correction, stats }
     }
 
     /// The training-time error statistics, if this model (or the bundle it

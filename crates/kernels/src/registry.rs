@@ -14,11 +14,12 @@ use std::sync::Arc;
 use dlperf_gpusim::{DeviceSpec, KernelFamily, KernelSpec, MemcpyKind};
 use dlperf_nn::arena::ScratchArena;
 use dlperf_nn::train::TrainConfig;
+use dlperf_runtime::{par_map, CancellationToken};
 
 use crate::error::ErrorStats;
 use crate::heuristic::embedding::{EmbeddingModel, EmbeddingModelKind};
 use crate::heuristic::roofline::RooflineModel;
-use crate::microbench::{self, Microbenchmark};
+use crate::microbench::{self, Microbenchmark, Sample};
 use crate::mlbased::MlKernelModel;
 
 /// How a [`ModelRegistry`] prediction was produced.
@@ -448,6 +449,16 @@ impl ModelRegistry {
     /// Like [`ModelRegistry::calibrate`], but returns the serializable
     /// [`crate::persist::RegistryBundle`] so the expensive calibration can
     /// be stored and reloaded.
+    ///
+    /// Calibration measures sequentially and trains in parallel. The
+    /// microbenchmark's measurement noise comes from one sequential RNG
+    /// stream, so all six sweeps (memory, GEMM, transpose, tril forward,
+    /// tril backward, conv) are measured first, in that fixed order. The
+    /// five MLP trainings are independent pure functions of (samples,
+    /// config, seed), and training is nearly all of calibration's time, so
+    /// they run on `available_parallelism()` workers through
+    /// [`dlperf_runtime::par_map`]. The bundle is byte-identical at any
+    /// thread count.
     pub fn calibrate_bundle(
         device: &DeviceSpec,
         effort: CalibrationEffort,
@@ -479,20 +490,29 @@ impl ModelRegistry {
             },
         };
 
-        // Opaque kernels: ML models trained on sweeps.
-        let mut train_ml = |specs: Vec<KernelSpec>, train_cfg: &TrainConfig, seed: u64| {
-            let samples = mb.measure(&specs);
-            MlKernelModel::train(&samples, train_cfg, seed)
-        };
-        let gemm =
-            train_ml(microbench::gemm_specs(effort.samples(260, 1600), seed ^ 2), &gemm_cfg, seed ^ 2);
-        let transpose =
-            train_ml(microbench::transpose_specs(effort.samples(200, 700), seed ^ 3), &cfg, seed ^ 3);
-        let tril_forward =
-            train_ml(microbench::tril_specs(effort.samples(160, 500), false, seed ^ 4), &cfg, seed ^ 4);
-        let tril_backward =
-            train_ml(microbench::tril_specs(effort.samples(160, 500), true, seed ^ 5), &cfg, seed ^ 5);
-        let conv = train_ml(microbench::conv_specs(effort.samples(220, 800), seed ^ 6), &cfg, seed ^ 6);
+        // Opaque kernels: ML models trained on sweeps, all measured before
+        // any training starts (the noise RNG stream is sequential).
+        let gemm = mb.measure(&microbench::gemm_specs(effort.samples(260, 1600), seed ^ 2));
+        let transpose = mb.measure(&microbench::transpose_specs(effort.samples(200, 700), seed ^ 3));
+        let tril_forward = mb.measure(&microbench::tril_specs(effort.samples(160, 500), false, seed ^ 4));
+        let tril_backward = mb.measure(&microbench::tril_specs(effort.samples(160, 500), true, seed ^ 5));
+        let conv = mb.measure(&microbench::conv_specs(effort.samples(220, 800), seed ^ 6));
+        // Longest training first, so the last job a worker claims is short.
+        let jobs: [(&[Sample], &TrainConfig, u64); 5] = [
+            (&gemm, &gemm_cfg, seed ^ 2),
+            (&conv, &cfg, seed ^ 6),
+            (&transpose, &cfg, seed ^ 3),
+            (&tril_forward, &cfg, seed ^ 4),
+            (&tril_backward, &cfg, seed ^ 5),
+        ];
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let trained = par_map(threads, &CancellationToken::new(), &jobs, |_, &(samples, cfg, seed)| {
+            MlKernelModel::train(samples, cfg, seed)
+        });
+        let [gemm, conv, transpose, tril_forward, tril_backward] =
+            <[Option<MlKernelModel>; 5]>::try_from(trained)
+                .expect("one model per job")
+                .map(|m| m.expect("uncancelled par_map fills every slot"));
 
         crate::persist::RegistryBundle {
             lane_width: dlperf_nn::LANES,
@@ -534,6 +554,48 @@ mod tests {
         ] {
             assert!(reg.get(fam).is_some(), "missing model for {fam}");
         }
+    }
+
+    /// Calibration measures every sweep first and trains the families in
+    /// parallel. Its bundle must be byte-identical to the one-thread
+    /// reference that measures and trains family by family, so parallel
+    /// training can never reorder the microbenchmark RNG stream.
+    #[test]
+    fn parallel_calibration_matches_sequential_reference_bitwise() {
+        let (device, effort, seed) = (DeviceSpec::v100(), CalibrationEffort::Quick, 42);
+        let cfg = effort.train_config();
+        let mut mb = Microbenchmark::new(&device, seed, 15);
+        let mem = mb.measure(&microbench::memory_specs(effort.samples(48, 240), seed ^ 1));
+        let mem_pairs: Vec<(KernelSpec, f64)> =
+            mem.iter().map(|s| (s.kernel.clone(), s.time_us)).collect();
+        let mut measure_and_train = |specs: Vec<KernelSpec>, family_seed: u64| {
+            MlKernelModel::train(&mb.measure(&specs), &cfg, family_seed)
+        };
+        let gemm = measure_and_train(microbench::gemm_specs(effort.samples(260, 1600), seed ^ 2), seed ^ 2);
+        let transpose =
+            measure_and_train(microbench::transpose_specs(effort.samples(200, 700), seed ^ 3), seed ^ 3);
+        let tril_forward =
+            measure_and_train(microbench::tril_specs(effort.samples(160, 500), false, seed ^ 4), seed ^ 4);
+        let tril_backward =
+            measure_and_train(microbench::tril_specs(effort.samples(160, 500), true, seed ^ 5), seed ^ 5);
+        let conv = measure_and_train(microbench::conv_specs(effort.samples(220, 800), seed ^ 6), seed ^ 6);
+        let reference = crate::persist::RegistryBundle {
+            lane_width: dlperf_nn::LANES,
+            device: device.clone(),
+            roofline: RooflineModel::calibrate(&device, &mem_pairs),
+            embedding_forward: EmbeddingModel::new(&device, EmbeddingModelKind::Enhanced),
+            embedding_backward: EmbeddingModel::new(&device, EmbeddingModelKind::Enhanced),
+            gemm,
+            transpose,
+            tril_forward,
+            tril_backward,
+            conv,
+        };
+        let bundle = ModelRegistry::calibrate_bundle(&device, effort, seed);
+        assert!(
+            bundle.to_json() == reference.to_json(),
+            "parallel calibration diverged from the sequential reference"
+        );
     }
 
     #[test]

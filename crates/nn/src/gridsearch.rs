@@ -5,13 +5,12 @@
 //! with the lowest prediction error." The full space has 5×4×2×7 = 280
 //! configurations; [`SearchSpace::reduced`] provides a small subset for
 //! tests and quick runs. Search is parallelized across worker threads with
-//! `crossbeam`.
+//! `dlperf_runtime::par_map`.
 
-use crossbeam::channel;
 use serde::{Deserialize, Serialize};
 
 use dlperf_runtime::{
-    JobContext, JobError, ResumableJob, RunReport, StepOutcome, Supervisor, SupervisorError,
+    par_map, CancellationToken, JobContext, JobError, ResumableJob, RunReport, StepOutcome, Supervisor, SupervisorError,
 };
 
 use crate::dataset::Dataset;
@@ -29,6 +28,19 @@ pub struct HyperParams {
     pub optimizer: OptimizerKind,
     /// Base learning rate (before the paper's ×10 SGD scaling).
     pub learning_rate: f64,
+}
+
+impl HyperParams {
+    fn train_config(&self, epochs: usize) -> TrainConfig {
+        TrainConfig {
+            hidden_layers: self.num_layers,
+            width: self.width,
+            optimizer: self.optimizer,
+            learning_rate: self.learning_rate,
+            epochs,
+            ..TrainConfig::default()
+        }
+    }
 }
 
 /// The grid to search.
@@ -93,8 +105,8 @@ pub struct SearchResult {
     pub trials: Vec<(HyperParams, f64)>,
 }
 
-/// Runs the grid search with `threads` parallel workers, each training on a
-/// clone of `data` for `epochs` epochs, and returns the configuration with
+/// Runs the grid search with `threads` parallel workers, each training on
+/// `data` for `epochs` epochs, and returns the configuration with
 /// the lowest validation MAPE.
 ///
 /// # Panics
@@ -110,44 +122,26 @@ pub fn grid_search(
     let configs = space.configurations();
     assert!(!configs.is_empty(), "empty search space");
 
-    let (job_tx, job_rx) = channel::unbounded::<(usize, HyperParams)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, HyperParams, TrainedModel)>();
-    for item in configs.iter().cloned().enumerate() {
-        job_tx.send(item).expect("channel open");
-    }
-    drop(job_tx);
-
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(configs.len()) {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            s.spawn(move |_| {
-                while let Ok((i, hp)) = job_rx.recv() {
-                    let cfg = TrainConfig {
-                        hidden_layers: hp.num_layers,
-                        width: hp.width,
-                        optimizer: hp.optimizer,
-                        learning_rate: hp.learning_rate,
-                        epochs,
-                        ..TrainConfig::default()
-                    };
-                    let model = train(data, &cfg, seed.wrapping_add(i as u64));
-                    res_tx.send((i, hp, model)).expect("result channel open");
-                }
-            });
-        }
-        drop(res_tx);
-    })
-    .expect("grid-search workers do not panic");
-
-    let mut results: Vec<(usize, HyperParams, TrainedModel)> = res_rx.iter().collect();
-    results.sort_by_key(|(i, _, _)| *i);
-    let trials: Vec<(HyperParams, f64)> =
-        results.iter().map(|(_, hp, m)| (hp.clone(), m.val_mape)).collect();
-    let (_, best, model) = results
+    let models = par_map(threads, &CancellationToken::new(), &configs, |i, hp| {
+        train(data, &hp.train_config(epochs), seed.wrapping_add(i as u64))
+    });
+    let results: Vec<(HyperParams, TrainedModel)> = configs
         .into_iter()
-        .min_by(|a, b| a.2.val_mape.total_cmp(&b.2.val_mape))
-        .expect("at least one configuration ran");
+        .zip(models)
+        .map(|(hp, m)| (hp, m.expect("uncancelled par_map fills every slot")))
+        .collect();
+    best_of(results)
+}
+
+/// The lowest-validation-error trial (the first one on ties), plus every
+/// trial's error in configuration order.
+fn best_of(results: Vec<(HyperParams, TrainedModel)>) -> SearchResult {
+    let trials: Vec<(HyperParams, f64)> =
+        results.iter().map(|(hp, m)| (hp.clone(), m.val_mape)).collect();
+    let (best, model) = results
+        .into_iter()
+        .min_by(|a, b| a.1.val_mape.total_cmp(&b.1.val_mape))
+        .expect("grid searches always have at least one configuration");
     SearchResult { best, model, trials }
 }
 
@@ -213,15 +207,7 @@ impl ResumableJob for GridSearchJob<'_> {
             ))
         })?;
         debug_assert_eq!(ctx.step as usize, i, "one step per configuration");
-        let cfg = TrainConfig {
-            hidden_layers: hp.num_layers,
-            width: hp.width,
-            optimizer: hp.optimizer,
-            learning_rate: hp.learning_rate,
-            epochs: self.epochs,
-            ..TrainConfig::default()
-        };
-        let model = train(self.data, &cfg, self.seed.wrapping_add(i as u64));
+        let model = train(self.data, &hp.train_config(self.epochs), self.seed.wrapping_add(i as u64));
         state.push((hp, model));
         Ok(if state.len() == self.configs.len() {
             StepOutcome::Done
@@ -231,13 +217,7 @@ impl ResumableJob for GridSearchJob<'_> {
     }
 
     fn finish(&self, state: Self::State) -> SearchResult {
-        let trials: Vec<(HyperParams, f64)> =
-            state.iter().map(|(hp, m)| (hp.clone(), m.val_mape)).collect();
-        let (best, model) = state
-            .into_iter()
-            .min_by(|a, b| a.1.val_mape.total_cmp(&b.1.val_mape))
-            .expect("grid-search jobs always have at least one configuration");
-        SearchResult { best, model, trials }
+        best_of(state)
     }
 }
 

@@ -47,7 +47,7 @@ pub mod train;
 
 pub use arena::{ArenaStats, ScratchArena};
 pub use dataset::Dataset;
-pub use matrix::{lane_dot, lane_dot_reference, LANES};
+pub use matrix::{lane_dot, lane_dot4, lane_dot_reference, LANES};
 pub use gridsearch::{
     grid_search, grid_search_supervised, GridSearchJob, HyperParams, SearchSpace,
 };

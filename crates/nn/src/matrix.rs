@@ -4,10 +4,13 @@
 //!
 //! Every dot product in this crate — training forward/backward, scalar
 //! inference, and the packed [`InferencePlan`](crate::net::InferencePlan)
-//! batch path — goes through [`lane_dot`], the *lane-reduction accumulation
+//! batch path — follows [`lane_dot`], the *lane-reduction accumulation
 //! contract* (DESIGN.md §9.3). The contract pins bitwise-exact results
 //! across all execution strategies, so the SIMD-friendly batched kernel is
 //! the definition rather than an approximation of the scalar path.
+//! Products run through one row-times-stripes loop that evaluates four
+//! outputs per pass over a shared left row ([`lane_dot4`]) and falls back
+//! to [`lane_dot`] for the last `outputs % 4` columns.
 
 use serde::{Deserialize, Serialize};
 
@@ -55,6 +58,66 @@ pub fn lane_dot(x: &[f64], w: &[f64]) -> f64 {
         acc[l] = if a == 0.0 { acc[l] } else { acc[l] + a * b };
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// Four [`lane_dot`]s sharing one left operand: `lane_dot4(x, [w0, w1,
+/// w2, w3])[o] == lane_dot(x, wo)` bit for bit.
+///
+/// This is the register-blocked micro-kernel of every matrix product:
+/// `4 × LANES` accumulators, one load and one zero test of each `x` chunk
+/// for four output neurons. Per output it runs exactly the
+/// [`lane_dot`] operation sequence — same lane assignment, same zero-skip
+/// on the left operand, same `(a0 + a1) + (a2 + a3)` reduction — so which
+/// outputs share a pass never shows in the bits.
+///
+/// # Panics
+/// Panics in debug builds if any length disagrees with `x.len()`.
+#[inline]
+pub fn lane_dot4(x: &[f64], w: [&[f64]; 4]) -> [f64; 4] {
+    debug_assert!(w.iter().all(|s| s.len() == x.len()), "lane_dot4 length mismatch");
+    let mut acc = [[0.0f64; LANES]; 4];
+    let mut xc = x.chunks_exact(LANES);
+    let [mut c0, mut c1, mut c2, mut c3] = w.map(|s| s.chunks_exact(LANES));
+    for ((((cx, w0), w1), w2), w3) in
+        (&mut xc).zip(&mut c0).zip(&mut c1).zip(&mut c2).zip(&mut c3)
+    {
+        for l in 0..LANES {
+            let a = cx[l];
+            for (acc, cw) in acc.iter_mut().zip([w0, w1, w2, w3]) {
+                acc[l] = if a == 0.0 { acc[l] } else { acc[l] + a * cw[l] };
+            }
+        }
+    }
+    let tails = [c0.remainder(), c1.remainder(), c2.remainder(), c3.remainder()];
+    for (l, &a) in xc.remainder().iter().enumerate() {
+        for (acc, tw) in acc.iter_mut().zip(tails) {
+            acc[l] = if a == 0.0 { acc[l] } else { acc[l] + a * tw[l] };
+        }
+    }
+    acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
+}
+
+/// One left row against output-major weight stripes:
+/// `out[j] = lane_dot(x, &stripes[j * x.len()..(j + 1) * x.len()])` for
+/// every `j < out.len()`, four outputs per [`lane_dot4`] pass and
+/// [`lane_dot`] for the tail columns.
+///
+/// # Panics
+/// Panics if `stripes.len() != out.len() * x.len()`.
+#[inline]
+pub(crate) fn dot_stripes(x: &[f64], stripes: &[f64], out: &mut [f64]) {
+    let k = x.len();
+    assert_eq!(stripes.len(), out.len() * k, "dot_stripes shape mismatch");
+    let mut blocks = out.chunks_exact_mut(4);
+    let mut j = 0;
+    for block in &mut blocks {
+        let w = |o: usize| &stripes[(j + o) * k..(j + o + 1) * k];
+        block.copy_from_slice(&lane_dot4(x, [w(0), w(1), w(2), w(3)]));
+        j += 4;
+    }
+    for (o, v) in blocks.into_remainder().iter_mut().enumerate() {
+        *v = lane_dot(x, &stripes[(j + o) * k..(j + o + 1) * k]);
+    }
 }
 
 /// Scalar emulation of [`lane_dot`]: per-lane strided serial passes, no
@@ -184,14 +247,26 @@ impl Matrix {
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul dims: {}x{} × {}x{}", self.rows, self.cols, rhs.rows, rhs.cols);
-        let rt = rhs.transpose();
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let xrow = &self.data[i * self.cols..(i + 1) * self.cols];
-            let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = lane_dot(xrow, rt.row(j));
-            }
+        self.matmul_transposed(&rhs.transpose())
+    }
+
+    /// Matrix product `self × rhs_tᵀ`, for a right operand already held
+    /// transposed: row `j` of `rhs_t` is column `j` of the product's right
+    /// factor. Bitwise identical to `self.matmul(&rhs_t.transpose())`
+    /// without materializing either transpose.
+    ///
+    /// # Panics
+    /// Panics if `self.cols() != rhs_t.cols()`.
+    pub(crate) fn matmul_transposed(&self, rhs_t: &Matrix) -> Matrix {
+        assert_eq!(self.cols, rhs_t.cols, "matmul dims: {}x{} × ({}x{})ᵀ", self.rows, self.cols, rhs_t.rows, rhs_t.cols);
+        let mut out = Matrix::zeros(self.rows, rhs_t.rows);
+        if self.cols == 0 || rhs_t.rows == 0 {
+            // Empty dots are +0.0, exactly the zero fill.
+            return out;
+        }
+        let rows = self.data.chunks_exact(self.cols).zip(out.data.chunks_exact_mut(rhs_t.rows));
+        for (xrow, orow) in rows {
+            dot_stripes(xrow, &rhs_t.data, orow);
         }
         out
     }

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::arena::ScratchArena;
-use crate::matrix::{lane_dot, Matrix};
+use crate::matrix::{dot_stripes, Matrix};
 
 /// One fully connected layer with its parameter gradients.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,25 +35,26 @@ impl Linear {
         }
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if train {
-            self.input_cache = Some(x.clone());
-        }
+    fn forward(&mut self, x: Matrix, train: bool) -> Matrix {
         let mut y = x.matmul(&self.w);
         y.add_row(&self.b);
+        if train {
+            self.input_cache = Some(x);
+        }
         y
     }
 
     /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient w.r.t. the layer input.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    /// gradient w.r.t. the layer input, plus that cached input itself.
+    fn backward(&mut self, grad_out: &Matrix) -> (Matrix, Matrix) {
         let x = self
             .input_cache
             .take()
             .expect("backward called without a preceding training forward");
         self.grad_w = x.transpose().matmul(grad_out);
         self.grad_b = grad_out.col_sums();
-        grad_out.matmul(&self.w.transpose())
+        // `w`'s rows are the columns of `wᵀ`: no transpose needed.
+        (grad_out.matmul_transposed(&self.w), x)
     }
 }
 
@@ -62,9 +63,6 @@ impl Linear {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// ReLU masks cached during training forward passes.
-    #[serde(skip)]
-    relu_masks: Vec<Matrix>,
 }
 
 impl Mlp {
@@ -83,7 +81,7 @@ impl Mlp {
             prev = width;
         }
         layers.push(Linear::new(prev, 1, &mut rng));
-        Mlp { layers, relu_masks: Vec::new() }
+        Mlp { layers }
     }
 
     /// Number of input features.
@@ -100,21 +98,13 @@ impl Mlp {
     /// [`Mlp::backward`].
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         assert_eq!(x.cols(), self.inputs(), "feature count mismatch");
-        if train {
-            self.relu_masks.clear();
-        }
         let mut h = x.clone();
         let n = self.layers.len();
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            h = layer.forward(&h, train);
+            h = layer.forward(h, train);
             if i + 1 < n {
                 // ReLU on hidden layers only.
-                let mut mask = h.clone();
-                mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
                 h.map_inplace(|v| v.max(0.0));
-                if train {
-                    self.relu_masks.push(mask);
-                }
             }
         }
         h
@@ -127,14 +117,34 @@ impl Mlp {
     /// Panics if no training forward pass preceded this call.
     pub fn backward(&mut self, grad_out: &Matrix) {
         let mut grad = grad_out.clone();
-        let n = self.layers.len();
-        for (rev, layer) in self.layers.iter_mut().rev().enumerate() {
-            let i = n - 1 - rev;
-            grad = layer.backward(&grad);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (g, input) = layer.backward(&grad);
+            grad = g;
             if i > 0 {
-                let mask = &self.relu_masks[i - 1];
-                grad.hadamard_inplace(mask);
+                // ReLU gradient mask. The input of layer `i` is layer
+                // `i - 1`'s post-ReLU activation, positive exactly where
+                // the pre-activation was, so the 1/0 mask is its sign.
+                for (g, h) in grad.as_mut_slice().iter_mut().zip(input.as_slice()) {
+                    *g *= if *h > 0.0 { 1.0 } else { 0.0 };
+                }
             }
+        }
+    }
+
+    /// Overwrites this network's parameters and last gradients with those
+    /// of `src`, an MLP of the same architecture, reusing this network's
+    /// buffers: equal to `*self = src.clone()` once `src` has completed a
+    /// backward pass (no cached training input).
+    ///
+    /// # Panics
+    /// Panics if the architectures differ.
+    pub(crate) fn copy_from(&mut self, src: &Mlp) {
+        assert_eq!(self.layers.len(), src.layers.len(), "MLP architecture mismatch");
+        for (dst, src) in self.layers.iter_mut().zip(&src.layers) {
+            dst.w.as_mut_slice().copy_from_slice(src.w.as_slice());
+            dst.b.copy_from_slice(&src.b);
+            dst.grad_w.as_mut_slice().copy_from_slice(src.grad_w.as_slice());
+            dst.grad_b.copy_from_slice(&src.grad_b);
         }
     }
 
@@ -216,11 +226,13 @@ impl PlanLayer {
 /// forward ping/pong buffers so steady-state batches allocate nothing.
 ///
 /// Weights are packed *transposed* (output-major) at plan build time, so
-/// every output element is one contiguous [`lane_dot`]. That is bitwise
-/// identical to [`Mlp::infer`]'s `matmul` path because the lane-reduction
-/// contract (DESIGN.md §9.3) defines the accumulation order per output
-/// element, independent of operand layout: `matmul` materializes the same
-/// transposed stripes internally and feeds them to the same `lane_dot`.
+/// every output element is one contiguous [`lane_dot`](crate::lane_dot)
+/// stripe, evaluated four outputs at a time by
+/// [`lane_dot4`](crate::lane_dot4). That is bitwise identical
+/// to [`Mlp::infer`]'s `matmul` path because the lane-reduction contract
+/// (DESIGN.md §9.3) defines the accumulation order per output element,
+/// independent of operand layout and blocking: `matmul` materializes the
+/// same transposed stripes internally and feeds them to the same kernel.
 /// Same dot, same bias add, same ReLU, in the same order.
 #[derive(Debug, Clone)]
 pub struct InferencePlan {
@@ -242,17 +254,17 @@ impl InferencePlan {
         let n = self.layers.len();
         let mut cur = x;
         for (i, layer) in self.layers.iter().enumerate() {
+            let relu = i + 1 < n;
             let mut next = arena.take();
-            next.reserve(rows * layer.outputs);
-            for r in 0..rows {
-                let xrow = &cur[r * layer.inputs..(r + 1) * layer.inputs];
-                for j in 0..layer.outputs {
-                    let wrow = &layer.wt[j * layer.inputs..(j + 1) * layer.inputs];
-                    let mut v = lane_dot(xrow, wrow) + layer.bias[j];
-                    if i + 1 < n {
-                        v = v.max(0.0);
+            next.resize(rows * layer.outputs, 0.0);
+            let pairs = cur.chunks_exact(layer.inputs).zip(next.chunks_exact_mut(layer.outputs));
+            for (xrow, orow) in pairs {
+                dot_stripes(xrow, &layer.wt, orow);
+                for (v, b) in orow.iter_mut().zip(&layer.bias) {
+                    *v += b;
+                    if relu {
+                        *v = v.max(0.0);
                     }
-                    next.push(v);
                 }
             }
             arena.give(cur);
@@ -357,6 +369,18 @@ mod tests {
             (analytic - numeric).abs() < 1e-5,
             "analytic {analytic} vs numeric {numeric}"
         );
+    }
+
+    #[test]
+    fn copy_from_equals_a_clone_after_backward() {
+        let mut src = Mlp::new(3, 2, 8, 1);
+        let x = Matrix::from_rows(&[vec![0.3, -0.7, 2.0], vec![1.1, 0.4, 0.0]]).unwrap();
+        let y = src.forward(&x, true);
+        src.backward(&Matrix::from_fn(y.rows(), 1, |r, _| y.at(r, 0) - 1.0));
+        let mut dst = Mlp::new(3, 2, 8, 2);
+        dst.copy_from(&src);
+        let json = |m: &Mlp| serde_json::to_string(m).unwrap();
+        assert_eq!(json(&dst), json(&src.clone()));
     }
 
     #[test]

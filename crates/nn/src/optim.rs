@@ -61,8 +61,7 @@ impl Optimizer {
         match self.kind {
             OptimizerKind::Sgd => {
                 for layer in layers {
-                    let gw = layer.grad_w.clone();
-                    layer.w.axpy(-self.lr, &gw);
+                    layer.w.axpy(-self.lr, &layer.grad_w);
                     for (b, g) in layer.b.iter_mut().zip(&layer.grad_b) {
                         *b -= self.lr * g;
                     }
@@ -85,15 +84,14 @@ impl Optimizer {
                 let bc1 = 1.0 - b1.powi(self.t as i32);
                 let bc2 = 1.0 - b2.powi(self.t as i32);
                 for (layer, mom) in layers.iter_mut().zip(&mut self.moments) {
-                    let gw = layer.grad_w.as_slice().to_vec();
-                    for (i, g) in gw.iter().enumerate() {
-                        let m = &mut mom.m_w.as_mut_slice()[i];
+                    let params = layer.w.as_mut_slice().iter_mut().zip(layer.grad_w.as_slice());
+                    let moments = mom.m_w.as_mut_slice().iter_mut().zip(mom.v_w.as_mut_slice());
+                    for ((w, g), (m, v)) in params.zip(moments) {
                         *m = b1 * *m + (1.0 - b1) * g;
-                        let v = &mut mom.v_w.as_mut_slice()[i];
                         *v = b2 * *v + (1.0 - b2) * g * g;
                         let m_hat = *m / bc1;
                         let v_hat = *v / bc2;
-                        layer.w.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                        *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
                     }
                     for (i, g) in layer.grad_b.iter().enumerate() {
                         let m = &mut mom.m_b[i];

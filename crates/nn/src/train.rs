@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use crate::arena::ScratchArena;
 use crate::dataset::Dataset;
 use crate::matrix::Matrix;
-use crate::net::Mlp;
+use crate::net::{InferencePlan, Mlp};
 use crate::optim::{Optimizer, OptimizerKind};
 use crate::preprocess::Preprocessor;
 
@@ -60,7 +60,7 @@ pub struct TrainedModel {
     /// Frozen inference weights, built on first batched prediction.
     /// Skipped by serde (it is derived state) and rebuilt lazily.
     #[serde(skip)]
-    plan: std::sync::OnceLock<crate::net::InferencePlan>,
+    plan: std::sync::OnceLock<InferencePlan>,
 }
 
 impl TrainedModel {
@@ -119,11 +119,25 @@ impl TrainedModel {
         }
         let plan = self.plan.get_or_init(|| self.mlp.plan());
         self.pre.transform_flat_inplace(&mut feats);
-        let start = out.len();
-        plan.predict_flat_into(feats, rows, arena, out);
-        for v in &mut out[start..] {
-            *v = self.pre.inverse_target(*v);
-        }
+        predict_planned(plan, &self.pre, feats, rows, arena, out);
+    }
+}
+
+/// The planned forward pass over *model-space* feature rows followed by the
+/// inverse target map: the tail of [`TrainedModel::predict_flat_into`],
+/// shared with training's per-epoch validation.
+fn predict_planned(
+    plan: &InferencePlan,
+    pre: &Preprocessor,
+    feats: Vec<f64>,
+    rows: usize,
+    arena: &mut ScratchArena,
+    out: &mut Vec<f64>,
+) {
+    let start = out.len();
+    plan.predict_flat_into(feats, rows, arena, out);
+    for v in &mut out[start..] {
+        *v = pre.inverse_target(*v);
     }
 }
 
@@ -148,16 +162,15 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
 
     let pre = Preprocessor::fit(raw);
     let data = pre.transform(raw);
-    let (train_set, val_raw_idx) = {
-        // Split raw to keep validation MAPE in original scale.
+    let (train_set, val_set, val_y_raw) = {
+        // Targets stay raw to keep validation MAPE in original scale.
         let mut idx: Vec<usize> = (0..raw.len()).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xbeef));
         let n_val = ((raw.len() as f64 * cfg.val_frac).round() as usize).clamp(1, raw.len() - 1);
         let (val_idx, train_idx) = idx.split_at(n_val);
-        (data.select(train_idx), val_idx.to_vec())
+        let val_y_raw: Vec<f64> = val_idx.iter().map(|&i| raw.y[i]).collect();
+        (data.select(train_idx), data.select(val_idx), val_y_raw)
     };
-    let val_x_raw: Vec<Vec<f64>> = val_raw_idx.iter().map(|&i| raw.x.row(i).to_vec()).collect();
-    let val_y_raw: Vec<f64> = val_raw_idx.iter().map(|&i| raw.y[i]).collect();
 
     let lr = match cfg.optimizer {
         OptimizerKind::Sgd => cfg.learning_rate * 10.0,
@@ -167,8 +180,13 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
     let mut opt = Optimizer::new(cfg.optimizer, lr);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
 
-    let mut best: Option<(f64, Mlp)> = None;
+    // The best epoch's network is copied into buffers allocated up front,
+    // so no epoch allocates a fresh copy of the weights.
+    let mut best_mlp = mlp.clone();
+    let mut best: Option<f64> = None;
     let mut stale = 0usize;
+    let mut arena = ScratchArena::new();
+    let mut preds = Vec::with_capacity(val_y_raw.len());
 
     for _epoch in 0..cfg.epochs {
         let mut order: Vec<usize> = (0..train_set.len()).collect();
@@ -183,12 +201,18 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
             opt.step(mlp.layers_mut());
         }
 
-        // Validation in the original scale.
-        let probe = TrainedModel::new(mlp.clone(), pre.clone(), 0.0);
-        let preds = probe.predict(&val_x_raw);
+        // Validation in the original scale, through the same planned
+        // forward as `TrainedModel::predict_batch` (bitwise equal to scalar
+        // prediction). `val_set` holds the preprocessed rows, which is what
+        // that path would compute from the raw ones.
+        let mut feats = arena.take();
+        feats.extend_from_slice(val_set.x.as_slice());
+        preds.clear();
+        predict_planned(&mlp.plan(), &pre, feats, val_set.len(), &mut arena, &mut preds);
         let err = mape(&preds, &val_y_raw);
-        if best.as_ref().is_none_or(|(b, _)| err < *b) {
-            best = Some((err, mlp.clone()));
+        if best.is_none_or(|b| err < b) {
+            best = Some(err);
+            best_mlp.copy_from(&mlp);
             stale = 0;
         } else {
             stale += 1;
@@ -198,8 +222,8 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
         }
     }
 
-    let (val_mape, mlp) = best.expect("at least one epoch ran");
-    TrainedModel::new(mlp, pre, val_mape)
+    let val_mape = best.expect("at least one epoch ran");
+    TrainedModel::new(best_mlp, pre, val_mape)
 }
 
 #[cfg(test)]
@@ -254,6 +278,22 @@ mod tests {
         let a = train(&synthetic(), &cfg, 3).val_mape;
         let b = train(&synthetic(), &cfg, 3).val_mape;
         assert_eq!(a, b);
+    }
+
+    /// Per-epoch validation runs through the planned batch forward; the
+    /// error it reports must be exactly the scalar-prediction error of the
+    /// model it returns on the same held-out rows.
+    #[test]
+    fn validation_error_is_the_scalar_error_of_the_returned_model() {
+        let (raw, seed) = (synthetic(), 4);
+        let cfg = TrainConfig { epochs: 12, width: 16, ..Default::default() };
+        let model = train(&raw, &cfg, seed);
+        let mut idx: Vec<usize> = (0..raw.len()).collect();
+        idx.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xbeef));
+        let n_val = ((raw.len() as f64 * cfg.val_frac).round() as usize).clamp(1, raw.len() - 1);
+        let rows: Vec<Vec<f64>> = idx[..n_val].iter().map(|&i| raw.x.row(i).to_vec()).collect();
+        let ys: Vec<f64> = idx[..n_val].iter().map(|&i| raw.y[i]).collect();
+        assert_eq!(mape(&model.predict(&rows), &ys).to_bits(), model.val_mape.to_bits());
     }
 
     #[test]

@@ -18,18 +18,23 @@
 //!   stateless hash of the step index (the `dlperf-faults` scheme), a
 //!   killed run resumed from its last checkpoint produces **bitwise
 //!   identical** final results to an uninterrupted run.
+//! - [`par_map`] / [`par_map_with`] are the workspace's one parallel-map
+//!   primitive: scoped workers, dynamic claiming, input-order results,
+//!   cooperative cancellation through the same [`CancellationToken`].
 //! - Chaos composes: hand the supervisor a `dlperf_faults::FaultInjector`
 //!   and its plan's worker faults (panic / kill / hang) fire at
 //!   deterministic `(job, step, attempt)` sites, exercising every
 //!   recovery path reproducibly.
 
 pub mod job;
+pub mod par;
 pub mod snapshot;
 pub mod store;
 pub mod supervisor;
 pub mod token;
 
 pub use job::{JobContext, JobError, ResumableJob, StepOutcome};
+pub use par::{par_map, par_map_with, CachePadded};
 pub use snapshot::{fnv1a64, open, seal, Envelope, SnapshotError};
 pub use store::{CheckpointStore, FileStore, MemoryStore};
 pub use supervisor::{
