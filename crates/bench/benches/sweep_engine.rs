@@ -15,7 +15,11 @@
 //! The headline `speedup` is `seq_uncached / par_cached`. Every ratio here
 //! goes through `dlperf_bench::interleave_ms`: per-round side-by-side
 //! timing with medians for ratios and bests for costs, because one-shot
-//! timing is how a negative recorder overhead once shipped.
+//! timing is how a negative recorder overhead once shipped. A sweep of
+//! this matrix takes milliseconds, so each timed sample of Parts 1 and 1b
+//! repeats its side with fresh engines until it covers at least
+//! `MIN_SAMPLE_MS` (the count is recorded as `sweep_sample_reps`), and the
+//! `*_ms` keys are per-run costs.
 //!
 //! Part 1b: the thread-scaling curve — the full matrix at exactly 1/2/4/8
 //! workers emitting `speedup_t{N}` for every N and
@@ -60,6 +64,9 @@ fn fingerprint(o: &SweepOutcome) -> Vec<Option<u64>> {
 const SWEEP_THREADS: usize = 4;
 /// The thread-scaling curve's worker counts.
 const THREAD_CURVE: [usize; 4] = [1, 2, 4, 8];
+/// Shortest wall-clock a timed sweep sample covers; shorter samples
+/// measure scheduler noise rather than the engine.
+const MIN_SAMPLE_MS: f64 = 50.0;
 
 fn main() {
     header("Sweep engine: parallel what-if matrix with memoized kernel models");
@@ -107,35 +114,61 @@ fn main() {
             .run(&base, &scenarios)
     };
 
-    const TRIPLET_REPS: usize = 7;
-    let (mut fp_uncached, mut fp_cached, mut fp_par) = (Vec::new(), Vec::new(), Vec::new());
-    let mut par_cache_stats = None;
-    let mut side_uncached = || fp_uncached = fingerprint(&run(1, false));
-    let mut side_cached = || fp_cached = fingerprint(&run(1, true));
-    let mut side_par = || {
-        let out = run(SWEEP_THREADS, true);
-        fp_par = fingerprint(&out);
-        par_cache_stats = out.cache;
+    // Warm-up: the reference bits, then one run per side to size the
+    // timed samples. One sweep takes a few milliseconds, so a single run
+    // per sample would time scheduler noise; every sample instead repeats
+    // its side `sample_reps` times with fresh engines (the same count on
+    // every side, so ratios compare equal work), and per-run costs are
+    // the sample medians divided by that count.
+    let reference = fingerprint(&run(1, false));
+    let fastest_probe_ms = [(1, false), (1, true), (SWEEP_THREADS, true)]
+        .into_iter()
+        .map(|(threads, cache)| {
+            let t0 = Instant::now();
+            run(threads, cache);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
+    let sample_reps = (MIN_SAMPLE_MS / fastest_probe_ms).ceil().max(1.0) as usize;
+    // One timed sample: `sample_reps` fresh-engine runs, each checked
+    // against the reference bits.
+    let repeat = |threads: usize, cache: bool| {
+        let mut last = None;
+        for _ in 0..sample_reps {
+            let out = run(threads, cache);
+            assert_eq!(
+                reference,
+                fingerprint(&out),
+                "sweep at {threads} workers (cache {cache}) must be bitwise identical to \
+                 sequential uncached"
+            );
+            last = Some(out);
+        }
+        last.expect("at least one repetition")
     };
+
+    const TRIPLET_REPS: usize = 7;
+    let mut par_cache_stats = None;
+    let mut side_uncached = || drop(repeat(1, false));
+    let mut side_cached = || drop(repeat(1, true));
+    let mut side_par = || par_cache_stats = repeat(SWEEP_THREADS, true).cache;
     let triplet = interleave_ms(
         TRIPLET_REPS,
         &mut [&mut side_uncached, &mut side_cached, &mut side_par],
     );
+    let per_run = |t: &dlperf_bench::SideTiming| t.median_ms / sample_reps as f64;
     let (seq_uncached_ms, seq_cached_ms, par_cached_ms) =
-        (triplet[0].median_ms, triplet[1].median_ms, triplet[2].median_ms);
+        (per_run(&triplet[0]), per_run(&triplet[1]), per_run(&triplet[2]));
     let effective_threads = SWEEP_THREADS;
-
-    assert_eq!(
-        fp_uncached, fp_par,
-        "parallel+cached sweep must be bitwise identical to sequential uncached"
-    );
-    assert_eq!(fp_uncached, fp_cached);
 
     let stats = par_cache_stats.expect("cache enabled");
     let memo_speedup = seq_uncached_ms / seq_cached_ms;
     let speedup = seq_uncached_ms / par_cached_ms;
 
-    println!("median of {TRIPLET_REPS} interleaved rounds:");
+    println!(
+        "median of {TRIPLET_REPS} interleaved rounds, {sample_reps} fresh-engine runs per \
+         sample (per-run times shown):"
+    );
     println!("{:>28} {:>10} {:>9}", "run", "wall/ms", "speedup");
     println!("{:>28} {:>10.1} {:>8.2}x", "sequential, no cache", seq_uncached_ms, 1.0);
     println!("{:>28} {:>10.1} {:>8.2}x", "sequential, memo cache", seq_cached_ms, memo_speedup);
@@ -157,33 +190,23 @@ fn main() {
     // oversubscribed workers is scheduler behaviour, not a property of the
     // engine, so smaller hosts omit the key and the CI floor gate skips it.
     const CURVE_REPS: usize = 5;
-    let mut curve_fps: Vec<Vec<Option<u64>>> = vec![Vec::new(); THREAD_CURVE.len()];
-    let run_ref = &run;
-    let mut curve_sides: Vec<Box<dyn FnMut() + '_>> = curve_fps
-        .iter_mut()
-        .zip(THREAD_CURVE)
-        .map(|(fp, n)| {
-            Box::new(move || *fp = fingerprint(&run_ref(n, true))) as Box<dyn FnMut() + '_>
-        })
+    let repeat_ref = &repeat;
+    let mut curve_sides: Vec<Box<dyn FnMut() + '_>> = THREAD_CURVE
+        .iter()
+        .map(|&n| Box::new(move || drop(repeat_ref(n, true))) as Box<dyn FnMut() + '_>)
         .collect();
     let mut side_refs: Vec<&mut dyn FnMut()> =
         curve_sides.iter_mut().map(|b| &mut **b as &mut dyn FnMut()).collect();
     let curve = interleave_ms(CURVE_REPS, &mut side_refs);
     drop(side_refs);
     drop(curve_sides);
-    for (n, fp) in THREAD_CURVE.iter().zip(&curve_fps) {
-        assert_eq!(
-            &fp_uncached, fp,
-            "thread curve at {n} workers must be bitwise identical to the reference"
-        );
-    }
 
     println!("\nthread-scaling curve (median of {CURVE_REPS} interleaved rounds):");
     println!("{:>8} {:>10} {:>9} {:>11}", "threads", "wall/ms", "speedup", "efficiency");
     let mut curve_keys: Vec<(String, String)> = Vec::new();
     for (i, &n) in THREAD_CURVE.iter().enumerate() {
-        let ms = curve[i].median_ms;
-        let sp = curve[0].median_ms / ms;
+        let ms = per_run(&curve[i]);
+        let sp = per_run(&curve[0]) / ms;
         curve_keys.push((format!("t{n}_ms"), format!("{ms:.3}")));
         curve_keys.push((format!("speedup_t{n}"), format!("{sp:.3}")));
         if n <= host_threads {
@@ -520,6 +543,7 @@ fn main() {
     doc.insert("seq_uncached_ms".into(), format!("{seq_uncached_ms:.3}"));
     doc.insert("seq_cached_ms".into(), format!("{seq_cached_ms:.3}"));
     doc.insert("par_cached_ms".into(), format!("{par_cached_ms:.3}"));
+    doc.insert("sweep_sample_reps".into(), sample_reps.to_string());
     for (k, v) in curve_keys {
         doc.insert(k, v);
     }

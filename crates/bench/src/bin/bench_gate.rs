@@ -43,12 +43,13 @@ const GUARD_KEYS: [&str; 3] = ["sweep_threads", "host_threads", "effort"];
 const CEILINGS: [(&str, f64); 1] = [("obs_overhead_pct", 3.0)];
 /// Absolute minimums a fresh run must clear regardless of baseline. The
 /// efficiency floors are deliberately below the typical curve (a 4-core
-/// runner usually lands t2 ≈ 0.6–0.9, t4 ≈ 0.4–0.7): they catch the
-/// failure mode where added synchronization makes extra workers pure
-/// overhead, not ordinary scheduler noise.
+/// runner usually lands t4 ≈ 0.4–0.7; eight runs on a 2-core host landed
+/// t2 at 0.49–0.69): they catch the failure mode where added
+/// synchronization makes extra workers pure overhead, not ordinary
+/// scheduler noise.
 const FLOORS: [(&str, f64); 5] = [
     ("batched_speedup", 1.15),
-    ("parallel_efficiency_t2", 0.35),
+    ("parallel_efficiency_t2", 0.40),
     ("parallel_efficiency_t4", 0.20),
     ("parallel_efficiency_t8", 0.10),
     // The optimization search's inner loop must be carried by the
@@ -62,9 +63,10 @@ const FLOORS: [(&str, f64); 5] = [
 /// `BENCH_sweep.json` (echoed for the same reason: wall-clock and RSS
 /// on shared runners are too noisy to floor — the invariants those
 /// numbers ride on are asserted by tests, not this diff).
-const CONTEXT_KEYS: [&str; 14] = [
+const CONTEXT_KEYS: [&str; 15] = [
     "search_evals_per_sec",
     "sweep_threads",
+    "sweep_sample_reps",
     "effective_threads",
     "host_threads",
     "effort",

@@ -243,15 +243,9 @@ pub fn reorder_whatif(
     pipeline: &Pipeline,
     graph: &Graph,
 ) -> Result<(Prediction, Prediction), CodesignError> {
-    use dlperf_graph::transform::hoist_earliest;
     let before = pipeline.predict(graph)?;
     let mut g = graph.clone();
-    // Hoist in execution order; each hoist preserves validity by
-    // construction.
-    for i in 0..g.node_count() {
-        let id = g.nodes()[i].id;
-        let _ = hoist_earliest(&mut g, id);
-    }
+    dlperf_graph::transform::hoist_all(&mut g);
     let after = pipeline.predict(&g)?;
     Ok((before, after))
 }

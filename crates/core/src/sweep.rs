@@ -16,9 +16,9 @@
 //! transform per cell, and the prepared graphs persist across runs of the
 //! same engine on the same base graph (detected by graph-index identity),
 //! so steady-state re-sweeps skip the transform *and* the structural
-//! signature pass entirely. Graph transforms dominate scenario cost by
-//! orders of magnitude over a kernel-model query, so this sharing — not
-//! thread count — is the engine's biggest single-host win.
+//! signature pass entirely. Preparing and indexing a graph costs about
+//! as much as one memoized walk of it, so sharing one prepared graph
+//! across a variant's devices saves most of that work.
 //!
 //! **Determinism contract:** every scenario evaluation is a pure function
 //! of `(pipeline, base graph, scenario)`; results are written to the slot
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dlperf_graph::transform::{
-    fuse_embedding_bags, hoist_earliest, replace_op, resize_batch, TransformError,
+    fuse_embedding_bags, hoist_all, hoist_earliest, replace_op, resize_batch, TransformError,
 };
 use dlperf_graph::{Graph, NodeId, OpKind};
 use dlperf_kernels::{MemoCache, MemoCacheStats};
@@ -417,10 +417,7 @@ pub fn prepare_graph(base: &Graph, mutations: &[GraphMutation]) -> Result<Graph,
             GraphMutation::ResizeBatch(b) => resize_batch(&mut g, *b).map(|_| ()),
             GraphMutation::FuseEmbeddingBags => fuse_embedding_bags(&mut g).map(|_| ()),
             GraphMutation::HoistAll => {
-                for i in 0..g.node_count() {
-                    let id = g.nodes()[i].id;
-                    let _ = hoist_earliest(&mut g, id);
-                }
+                hoist_all(&mut g);
                 Ok(())
             }
             GraphMutation::HoistNode(i) => {

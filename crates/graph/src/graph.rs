@@ -7,7 +7,6 @@
 //! each tensor has at most one producer.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::op::OpKind;
@@ -309,43 +308,24 @@ impl Graph {
         preds
     }
 
+    /// For every tensor, the node [`Graph::producer`] returns: the first
+    /// node in execution order listing it as an output. One O(N + E) pass
+    /// instead of a node scan per query; look entries up with `.get()`,
+    /// since a tensor nothing produces may lie past the end.
+    pub(crate) fn producer_table(&self) -> Vec<Option<NodeId>> {
+        let len = self.nodes.iter().flat_map(|n| &n.outputs).map(|t| t.0 + 1).max();
+        let mut producer = vec![None; len.unwrap_or(0)];
+        for n in &self.nodes {
+            for t in &n.outputs {
+                producer[t.0].get_or_insert(n.id);
+            }
+        }
+        producer
+    }
+
     /// Checks structural invariants; see [`GraphError`] for the cases.
     pub fn validate(&self) -> Result<(), GraphError> {
-        let mut producer: HashMap<usize, usize> = HashMap::new();
-        for (pos, n) in self.nodes.iter().enumerate() {
-            for t in n.inputs.iter().chain(n.outputs.iter()) {
-                if t.0 >= self.tensors.len() {
-                    return Err(GraphError::TensorOutOfRange { node: pos, tensor: t.0 });
-                }
-            }
-            for t in &n.inputs {
-                if n.outputs.contains(t) {
-                    return Err(GraphError::InPlaceAlias { node: pos, tensor: t.0 });
-                }
-                if let Some(&p) = producer.get(&t.0) {
-                    if p >= pos {
-                        return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
-                    }
-                }
-            }
-            for t in &n.outputs {
-                if let Some(&first) = producer.get(&t.0) {
-                    return Err(GraphError::MultipleProducers { tensor: t.0, first, second: pos });
-                }
-                producer.insert(t.0, pos);
-            }
-        }
-        // Check use-before-def also for tensors whose producer appears later.
-        for (pos, n) in self.nodes.iter().enumerate() {
-            for t in &n.inputs {
-                if let Some(&p) = producer.get(&t.0) {
-                    if p >= pos {
-                        return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
-                    }
-                }
-            }
-        }
-        Ok(())
+        validate_nodes(self.tensors.len(), &self.nodes)
     }
 
     /// Serializes the graph to pretty JSON (the paper exports captured
@@ -369,6 +349,49 @@ impl Graph {
         }
         Ok(g)
     }
+}
+
+/// [`Graph::validate`] over a node list that need not be installed yet, so
+/// a transform can check a candidate execution order before committing
+/// it. Node ids and uids are not consulted, only positions and tensors.
+pub(crate) fn validate_nodes(tensor_count: usize, nodes: &[Node]) -> Result<(), GraphError> {
+    // Every tensor an earlier node touched is in range, so a flat table
+    // indexed by tensor id stands in for a map.
+    let mut producer: Vec<Option<usize>> = vec![None; tensor_count];
+    for (pos, n) in nodes.iter().enumerate() {
+        for t in n.inputs.iter().chain(n.outputs.iter()) {
+            if t.0 >= tensor_count {
+                return Err(GraphError::TensorOutOfRange { node: pos, tensor: t.0 });
+            }
+        }
+        for t in &n.inputs {
+            if n.outputs.contains(t) {
+                return Err(GraphError::InPlaceAlias { node: pos, tensor: t.0 });
+            }
+            if let Some(p) = producer[t.0] {
+                if p >= pos {
+                    return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
+                }
+            }
+        }
+        for t in &n.outputs {
+            if let Some(first) = producer[t.0] {
+                return Err(GraphError::MultipleProducers { tensor: t.0, first, second: pos });
+            }
+            producer[t.0] = Some(pos);
+        }
+    }
+    // Check use-before-def also for tensors whose producer appears later.
+    for (pos, n) in nodes.iter().enumerate() {
+        for t in &n.inputs {
+            if let Some(p) = producer[t.0] {
+                if p >= pos {
+                    return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

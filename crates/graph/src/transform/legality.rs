@@ -65,9 +65,26 @@ pub fn can_hoist(graph: &Graph, position: usize) -> bool {
 }
 
 /// Positions whose hoist would move the node, ascending — the
-/// deterministic enumeration order the search layer relies on.
+/// deterministic enumeration order the search layer relies on. Equal to
+/// filtering every position through [`can_hoist`], in one O(N + E) pass
+/// over a producer table instead of a producer scan per input.
 pub fn hoistable_nodes(graph: &Graph) -> Vec<usize> {
-    (0..graph.node_count()).filter(|&i| can_hoist(graph, i)).collect()
+    let producer = graph.producer_table();
+    let nodes = graph.nodes();
+    (0..nodes.len())
+        .filter(|&i| {
+            // Mirrors `can_hoist`, which addresses the node by its id.
+            let node = nodes[i].id;
+            let earliest = nodes[node.0]
+                .inputs
+                .iter()
+                .filter_map(|t| producer.get(t.0).copied().flatten())
+                .map(|p| p.0 + 1)
+                .max()
+                .unwrap_or(0);
+            earliest < node.0
+        })
+        .collect()
 }
 
 /// Whether [`super::resize_batch`] to `new_batch` would succeed *and*

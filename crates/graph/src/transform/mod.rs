@@ -19,7 +19,7 @@ pub use legality::{
     can_fuse_embedding_bags, can_hoist, can_replace_op, can_resize_batch, hoistable_nodes,
 };
 pub use parallelize::{independent_groups, parallelize};
-pub use reorder::{hoist_earliest, move_node};
+pub use reorder::{hoist_all, hoist_earliest, move_node};
 pub use resize::resize_batch;
 pub use surgery::{insert_after, remove_node_rewire, replace_op};
 

@@ -7,7 +7,7 @@
 //! paper lists reordering among the optimizations its execution graph can
 //! evaluate ("operator fusion, reordering, and parallelization").
 
-use crate::graph::{Graph, Node, NodeId};
+use crate::graph::{validate_nodes, Graph, Node, NodeId};
 use crate::transform::TransformError;
 
 /// Moves the node at `from` so that it executes at position `to` (indices
@@ -31,12 +31,11 @@ pub fn move_node(graph: &mut Graph, from: NodeId, to: usize) -> Result<(), Trans
     let mut nodes: Vec<Node> = graph.nodes().to_vec();
     let moved = nodes.remove(from.0);
     nodes.insert(to, moved);
-    let old = graph.clone();
+    // Check the candidate order before installing it: a rejected move
+    // never touches the graph, so there is nothing to roll back.
+    validate_nodes(graph.tensor_count(), &nodes)
+        .map_err(|e| TransformError::DependencyViolation(e.to_string()))?;
     graph.set_nodes(nodes);
-    if let Err(e) = graph.validate() {
-        *graph = old;
-        return Err(TransformError::DependencyViolation(e.to_string()));
-    }
     Ok(())
 }
 
@@ -56,6 +55,57 @@ pub fn hoist_earliest(graph: &mut Graph, node: NodeId) -> Result<usize, Transfor
         move_node(graph, node, earliest)?;
     }
     Ok(earliest.min(node.0))
+}
+
+/// Hoists every node as early as its data dependencies allow, in
+/// execution order: the same result as calling [`hoist_earliest`] on the
+/// node at each position `0..n` in turn, computed in one pass.
+///
+/// After step `i` the first `i + 1` positions hold a reordering of the
+/// original first `i + 1` nodes, and the relative order of two nodes never
+/// changes once both are placed. So the per-node loop amounts to inserting
+/// node `i` right after its latest-placed producer (or at the front), which
+/// is exactly what this does, against a producer table and a position per
+/// node instead of a producer scan, a graph clone and a validation per
+/// move. Cost is O(N + E + D): nodes, edges and the number of node pairs
+/// the reorder swaps. The node list is installed once, and only if
+/// something moved.
+///
+/// A graph the loop could reject moves on (one that fails
+/// [`Graph::validate`]), whose node ids are not their positions, or that
+/// holds nodes without a uid (the first move assigns those) takes the
+/// per-node loop itself, so the result is identical there too.
+pub fn hoist_all(graph: &mut Graph) {
+    let nodes = graph.nodes();
+    let plain = nodes.iter().enumerate().all(|(i, n)| n.id.0 == i && n.uid != 0);
+    if !plain || graph.validate().is_err() {
+        for i in 0..graph.node_count() {
+            let id = graph.nodes()[i].id;
+            let _ = hoist_earliest(graph, id);
+        }
+        return;
+    }
+    // In a valid graph every producer of node `i` sits in the placed prefix.
+    let producer = graph.producer_table();
+    let mut order: Vec<usize> = Vec::with_capacity(nodes.len());
+    let mut pos = vec![0usize; nodes.len()];
+    for (i, n) in nodes.iter().enumerate() {
+        let earliest = n
+            .inputs
+            .iter()
+            .filter_map(|t| producer.get(t.0).copied().flatten())
+            .map(|p| pos[p.0] + 1)
+            .max()
+            .unwrap_or(0);
+        order.insert(earliest, i);
+        for (k, &j) in order.iter().enumerate().skip(earliest) {
+            pos[j] = k;
+        }
+    }
+    if order.iter().enumerate().any(|(k, &j)| k != j) {
+        let reordered = order.iter().map(|&j| nodes[j].clone()).collect();
+        graph.set_nodes(reordered);
+    }
 }
 
 #[cfg(test)]
@@ -90,12 +140,12 @@ mod tests {
     #[test]
     fn dependent_move_rejected_and_rolled_back() {
         let (mut g, ids) = graph();
-        let before = g.nodes().to_vec();
+        let before = g.to_json();
         // Moving n1 (consumer of a) before n0 (producer) must fail...
         let r = move_node(&mut g, ids[1], 0);
         assert!(matches!(r, Err(TransformError::DependencyViolation(_))));
-        // ...and leave the graph untouched.
-        assert_eq!(g.nodes(), &before[..]);
+        // ...and leave the graph untouched: order, ids, uids and next_uid.
+        assert_eq!(g.to_json(), before);
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn main() {
     }
     // Two graph variants per cell: as-captured, and with every movable op
     // hoisted as early as dependencies allow (the §V-A reordering what-if).
-    // The hoist is an expensive transform; scenarios differing only in
-    // device share its prepared graph inside the engine.
+    // Scenarios differing only in device share the prepared graph inside
+    // the engine.
     let scenarios = matrix
         .batches(&batches)
         .variant("base", vec![])
