@@ -134,8 +134,9 @@ fn main() {
             &pipeline.shared_overheads_json(),
         )
         .expect("valid db"))
-        .predict_active(&small_tables)
-        .unwrap();
+        .predict(&small_tables)
+        .unwrap()
+        .active_us;
         println!("  {name:22} {:+.2}%", err_pct(pred, small_active));
     }
 

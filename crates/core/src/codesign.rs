@@ -1,6 +1,8 @@
 //! Model-system co-design tools (§V-A): answer the paper's what-if
 //! questions by transforming the execution graph and re-predicting —
-//! "without actually running the computation on GPUs".
+//! "without actually running the computation on GPUs". Question 2 (how
+//! much a new GPU buys) is the device axis of [`crate::SweepEngine`] and
+//! [`crate::OptimizationSearch`].
 
 use dlperf_graph::lower::LowerError;
 use dlperf_graph::transform::{fuse_embedding_bags, resize_batch, FusionReport, TransformError};
@@ -61,21 +63,6 @@ pub fn batch_size_sweep(
         out.push((b, pipeline.predict(&g)?));
     }
     Ok(out)
-}
-
-/// Question 2: how much performance can be gained with new GPUs? Prices the
-/// same graph on several calibrated pipelines.
-///
-/// # Errors
-/// Fails if the graph fails to lower on any pipeline.
-pub fn device_whatif(
-    pipelines: &[Pipeline],
-    graph: &Graph,
-) -> Result<Vec<(String, Prediction)>, CodesignError> {
-    pipelines
-        .iter()
-        .map(|p| Ok((p.device().name.clone(), p.predict(graph)?)))
-        .collect()
 }
 
 /// Result of the Fig. 11 op-fusion what-if.
@@ -250,55 +237,6 @@ pub fn reorder_whatif(
     Ok((before, after))
 }
 
-// ---------------------------------------------------------------------------
-// Iterative model tuning (§V-A a): latency-constrained configuration search.
-// ---------------------------------------------------------------------------
-
-/// One scored candidate of a latency-constrained search.
-#[derive(Debug, Clone)]
-pub struct TuningResult<C> {
-    /// The candidate configuration.
-    pub candidate: C,
-    /// Its predicted per-batch time (µs).
-    pub predicted_us: f64,
-    /// The caller-supplied quality score (higher is better).
-    pub score: f64,
-}
-
-/// The paper's *iterative model tuning* use case, generalized: evaluate a
-/// set of candidate configurations against a latency budget using only the
-/// performance model — "without actually running the code" — and return the
-/// highest-scoring candidate that fits, plus every scored candidate for
-/// inspection. This is exactly the inner loop the paper proposes donating
-/// to a network-architecture search.
-///
-/// `build` maps a candidate to its execution graph; `score` defines model
-/// quality (e.g. parameter count, embedding capacity).
-///
-/// # Errors
-/// Propagates lowering failures from candidate graphs.
-#[allow(clippy::type_complexity)]
-pub fn latency_constrained_search<C: Clone>(
-    pipeline: &Pipeline,
-    candidates: &[C],
-    budget_us: f64,
-    build: impl Fn(&C) -> Graph,
-    score: impl Fn(&C) -> f64,
-) -> Result<(Option<TuningResult<C>>, Vec<TuningResult<C>>), CodesignError> {
-    let mut scored = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        let graph = build(c);
-        let predicted_us = pipeline.predict(&graph)?.e2e_us;
-        scored.push(TuningResult { candidate: c.clone(), predicted_us, score: score(c) });
-    }
-    let best = scored
-        .iter()
-        .filter(|r| r.predicted_us <= budget_us)
-        .max_by(|a, b| a.score.total_cmp(&b.score))
-        .cloned();
-    Ok((best, scored))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,52 +319,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         round_robin(&[1, 2], 0);
-    }
-
-    #[test]
-    fn tuning_picks_largest_model_within_budget() {
-        let (pipe, base) = quick_pipeline();
-        // Candidates: embedding dims (larger = higher quality, slower).
-        let candidates = [16u64, 32, 64, 128];
-        let build = |&d: &u64| {
-            DlrmConfig {
-                embedding_dim: d,
-                bottom_mlp: vec![512, 512, d],
-                rows_per_table: vec![50_000; 4],
-                ..DlrmConfig::default_config(256)
-            }
-            .build()
-        };
-        let baseline = pipe.predict(&base).unwrap().e2e_us;
-        let (best, all) =
-            latency_constrained_search(&pipe, &candidates, baseline, build, |&d| d as f64)
-                .unwrap();
-        assert_eq!(all.len(), 4);
-        assert!(all.iter().all(|r| r.predicted_us > 0.0));
-        let best = best.expect("some candidate fits the baseline budget");
-        // The winner is the largest dim that still fits.
-        for r in &all {
-            if r.predicted_us <= baseline {
-                assert!(best.score >= r.score);
-            }
-        }
-    }
-
-    #[test]
-    fn tuning_reports_none_when_budget_impossible() {
-        let (pipe, _) = quick_pipeline();
-        let build = |&d: &u64| {
-            DlrmConfig {
-                embedding_dim: d,
-                bottom_mlp: vec![512, 512, d],
-                rows_per_table: vec![50_000; 4],
-                ..DlrmConfig::default_config(256)
-            }
-            .build()
-        };
-        let (best, all) =
-            latency_constrained_search(&pipe, &[32u64, 64], 1.0, build, |&d| d as f64).unwrap();
-        assert!(best.is_none());
-        assert_eq!(all.len(), 2);
     }
 }

@@ -10,11 +10,13 @@
 //!
 //! ## Why the result is bitwise identical to a full walk
 //!
-//! * Per-node cost bundles ([`NodeCosts`]) are pure functions of a node's
-//!   structural signature (op, stream, input/output tensor ids + metadata)
-//!   and the predictor's frozen registry/overheads. Equal signatures ⇒
-//!   bitwise-equal bundles, so reusing a baseline bundle is invisible.
-//! * The clock arithmetic lives in one place — [`WalkState::step`] — used
+//! * A node's costs — its five overheads and its kernels' predicted
+//!   times — are pure functions of its structural signature (op, stream,
+//!   input/output tensor ids + metadata) and the predictor's frozen
+//!   registry/overheads. Equal signatures ⇒ bitwise-equal costs, so
+//!   reusing a baseline node's costs is invisible.
+//! * Lowering and pricing go through the walk's own staging phase, and the
+//!   clock arithmetic lives in one place — `WalkState::step_parts` — used
 //!   by both the full and the incremental walk, so the incremental path
 //!   replays the *same float operation sequence* over the same values.
 //! * Prefix state is not re-derived arithmetically (float addition is not
@@ -26,20 +28,20 @@
 //!   the suffix boundary: CPU/active/degraded scalars, every stream clock,
 //!   and the readiness of every tensor any suffix node reads must all
 //!   match the baseline's recorded state bit for bit. If any differs, the
-//!   suffix is walked normally (still reusing its cost bundles).
+//!   suffix is walked normally (still reusing its baseline costs).
 //!
 //! When nothing matches (e.g. a `ResizeBatch` rewrites every tensor's
 //! metadata, dirtying all signatures) the incremental path degenerates to
 //! exactly the full batch walk — correct, merely not faster — and reports
 //! `full_fallback`.
 
-use dlperf_graph::lower::{self, LowerError};
-use dlperf_graph::{common_affix, Graph};
-use dlperf_gpusim::KernelSpec;
-use dlperf_kernels::{Confidence, MemoCache, MemoScratch};
-use dlperf_nn::arena::ScratchArena;
+use std::ops::Range;
 
-use crate::predictor::{E2ePredictor, NodeCosts, Prediction, WalkScratch, WalkState};
+use dlperf_graph::lower::LowerError;
+use dlperf_graph::{common_affix, Graph};
+use dlperf_kernels::{Confidence, MemoCache};
+
+use crate::predictor::{uncancelled, E2ePredictor, Overheads, Prediction, WalkScratch, WalkState};
 
 /// What one incremental re-prediction did, for observability and bench
 /// accounting. All node counts refer to the *new* graph.
@@ -122,8 +124,13 @@ pub struct IncrementalPredictor {
     base: Graph,
     /// Structural signatures of the baseline nodes (from the graph index).
     sigs: Vec<u64>,
-    /// Priced cost bundle of every baseline node.
-    costs: Vec<NodeCosts>,
+    /// Predicted `(time, confidence)` of every baseline kernel, in node
+    /// order (the walk's staged values, kept).
+    values: Vec<(f64, Confidence)>,
+    /// Per-node span into `values`.
+    ranges: Vec<Range<usize>>,
+    /// Per-node launch overheads.
+    oh: Vec<Overheads>,
     /// CPU clock after each step.
     cpu_after: Vec<f64>,
     /// GPU active sum after each step.
@@ -168,20 +175,22 @@ impl IncrementalPredictor {
         base: Graph,
         cache: Option<&MemoCache>,
     ) -> Result<Self, LowerError> {
-        let costs = predictor.node_costs_batch(&base, |specs| eval(&predictor, cache, specs))?;
+        let mut scratch = WalkScratch::new();
+        uncancelled(predictor.stage(&base, 0..base.node_count(), cache, None, &mut scratch))?;
+        let WalkScratch { values, ranges, oh, mut state, .. } = scratch;
         let n = base.node_count();
-        let mut state = WalkState::new();
         let mut cpu_after = Vec::with_capacity(n);
         let mut active_after = Vec::with_capacity(n);
         let mut degraded_after = Vec::with_capacity(n);
         let mut stream_after = Vec::with_capacity(n);
         let mut ready_val = Vec::with_capacity(n);
-        for (node, c) in base.nodes().iter().zip(&costs) {
-            state.step(node, c, predictor.kernel_gap(), predictor.launch());
+        let (gap, launch) = (predictor.kernel_gap(), predictor.launch());
+        for ((node, r), oh) in base.nodes().iter().zip(&ranges).zip(&oh) {
+            state.step_parts(node, oh, &values[r.clone()], gap, launch);
             cpu_after.push(state.cpu);
             active_after.push(state.active);
             degraded_after.push(state.degraded);
-            if c.kernels.is_empty() {
+            if r.is_empty() {
                 stream_after.push(None);
                 ready_val.push(state.cpu);
             } else {
@@ -198,7 +207,9 @@ impl IncrementalPredictor {
             predictor,
             base,
             sigs,
-            costs,
+            values,
+            ranges,
+            oh,
             cpu_after,
             active_after,
             degraded_after,
@@ -246,8 +257,9 @@ impl IncrementalPredictor {
     /// dirty-frontier specs, ranges, overheads and values, the replayed
     /// walk states, memo probing and MLP forward buffers — in `scratch`,
     /// so steady-state re-predictions of same-shaped mutations allocate
-    /// nothing. Bitwise identical to the owning path: the same evaluator,
-    /// the same recorded-write replay, the same frozen stepping sequence.
+    /// nothing. Bitwise identical to the owning path: the walk's staging
+    /// phase, the same recorded-write replay, the same frozen stepping
+    /// sequence.
     ///
     /// # Errors
     /// Returns a [`LowerError`] if a dirty node is malformed.
@@ -280,24 +292,7 @@ impl IncrementalPredictor {
         }
 
         // Lower and price the dirty frontier in one batched evaluation.
-        scratch.specs.clear();
-        scratch.ranges.clear();
-        scratch.oh.clear();
-        scratch.values.clear();
-        for node in &graph.nodes()[prefix..dirty_end] {
-            let start = scratch.specs.len();
-            scratch.specs.extend(lower::try_kernels(graph, node)?);
-            scratch.ranges.push(start..scratch.specs.len());
-            scratch.oh.push(self.predictor.overheads_of(node.op.overhead_key()));
-        }
-        eval_into(
-            &self.predictor,
-            cache,
-            &scratch.specs,
-            &mut scratch.memo,
-            &mut scratch.arena,
-            &mut scratch.values,
-        );
+        uncancelled(self.predictor.stage(graph, prefix..dirty_end, cache, None, scratch))?;
 
         // Replay the recorded prefix state, then walk the dirty span.
         self.state_at_into(prefix, &mut scratch.state);
@@ -319,10 +314,12 @@ impl IncrementalPredictor {
                 stats.record();
                 return Ok((self.prediction, stats));
             }
-            // Otherwise walk the suffix, reusing its baseline cost bundles
-            // (pure in the unchanged signatures).
+            // Otherwise walk the suffix, reusing its baseline costs (pure
+            // in the unchanged signatures).
             for (j, node) in graph.nodes().iter().enumerate().skip(dirty_end) {
-                scratch.state.step(node, &self.costs[j + n_base - n_new], gap, launch);
+                let b = j + n_base - n_new;
+                let kernels = &self.values[self.ranges[b].clone()];
+                scratch.state.step_parts(node, &self.oh[b], kernels, gap, launch);
             }
         }
         stats.record();
@@ -391,35 +388,6 @@ fn splice_matches(
         }
     }
     true
-}
-
-/// Batched kernel evaluation, memoized when a cache is supplied — the one
-/// evaluator both the baseline build and the dirty frontier use.
-fn eval(
-    predictor: &E2ePredictor,
-    cache: Option<&MemoCache>,
-    specs: &[KernelSpec],
-) -> Vec<(f64, Confidence)> {
-    match cache {
-        Some(c) => predictor.registry().predict_batch_memoized(c, specs),
-        None => predictor.registry().predict_batch_with_confidence(specs),
-    }
-}
-
-/// The scratch-staged form of [`eval`]: appends predictions to `out`
-/// through the caller's memo staging and arena instead of allocating.
-fn eval_into(
-    predictor: &E2ePredictor,
-    cache: Option<&MemoCache>,
-    specs: &[KernelSpec],
-    memo: &mut MemoScratch,
-    arena: &mut ScratchArena,
-    out: &mut Vec<(f64, Confidence)>,
-) {
-    match cache {
-        Some(c) => predictor.registry().predict_batch_memoized_into(c, specs, memo, arena, out),
-        None => predictor.registry().predict_batch_with_confidence_into(specs, arena, out),
-    }
 }
 
 #[cfg(test)]

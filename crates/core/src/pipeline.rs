@@ -347,52 +347,6 @@ impl Pipeline {
         self.predictor.predict_memoized(graph, cache)
     }
 
-    /// Scratch-backed forms of [`Pipeline::predict`] /
-    /// [`Pipeline::predict_memoized`]: every intermediate lives in
-    /// `scratch` (see [`crate::predictor::WalkScratch`]), so steady-state
-    /// repeated predictions allocate nothing. Bitwise identical to the
-    /// owning paths.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_scratch(
-        &self,
-        graph: &Graph,
-        scratch: &mut crate::predictor::WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predictor.predict_scratch(graph, scratch)
-    }
-
-    /// See [`Pipeline::predict_scratch`].
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_memoized_scratch(
-        &self,
-        graph: &Graph,
-        cache: &dlperf_kernels::MemoCache,
-        scratch: &mut crate::predictor::WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predictor.predict_memoized_scratch(graph, cache, scratch)
-    }
-
-    /// Like [`Pipeline::predict_memoized`], but honouring a cancellation
-    /// token between op steps (see
-    /// [`E2ePredictor::predict_memoized_cancellable`]); a completed run is
-    /// bitwise identical to the non-cancellable path.
-    ///
-    /// # Errors
-    /// [`crate::predictor::PredictError`] on malformed graphs or when the
-    /// token fired mid-walk.
-    pub fn predict_memoized_cancellable(
-        &self,
-        graph: &Graph,
-        cache: &dlperf_kernels::MemoCache,
-        token: &dlperf_runtime::CancellationToken,
-    ) -> Result<Prediction, crate::predictor::PredictError> {
-        self.predictor.predict_memoized_cancellable(graph, cache, token)
-    }
-
     /// Predicts with the workload's individual overheads when available,
     /// falling back to shared.
     ///

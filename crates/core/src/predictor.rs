@@ -224,12 +224,13 @@ impl E2ePredictor {
         self.launch_factor
     }
 
-    /// Predicts the per-batch training time of `graph` (Algorithm 1).
+    /// Predicts the per-batch training time of `graph` (Algorithm 1): the
+    /// [`E2ePredictor::walk`] on a fresh scratch, uncached.
     ///
     /// # Errors
     /// Returns a [`LowerError`] if an op's tensor shapes are inconsistent.
     pub fn predict(&self, graph: &Graph) -> Result<Prediction, LowerError> {
-        self.predict_with_batch(graph, |specs| self.registry.predict_batch_with_confidence(specs))
+        uncancelled(self.walk(graph, None, None, &mut WalkScratch::new()))
     }
 
     /// Like [`E2ePredictor::predict`], but answering kernel-model queries
@@ -244,76 +245,64 @@ impl E2ePredictor {
         graph: &Graph,
         cache: &MemoCache,
     ) -> Result<Prediction, LowerError> {
-        self.predict_with_batch(graph, |specs| self.registry.predict_batch_memoized(cache, specs))
+        uncancelled(self.walk(graph, Some(cache), None, &mut WalkScratch::new()))
     }
 
-    /// Like [`E2ePredictor::predict_memoized`], but checking `token`
-    /// between op steps: a cancellation (deadline watchdog, shutdown) is
-    /// observed within one node's lowering or stepping and surfaces as
-    /// [`PredictError::Cancelled`]. A run that completes is bitwise
-    /// identical to the non-cancellable path — the checks read, never
-    /// write, the walk state.
+    /// The Algorithm 1 walk — the one function that prices a whole graph.
+    /// It runs in two phases: lower every node and price all kernels in one
+    /// batched call (through `cache` when given), then step the CPU and GPU
+    /// clocks node by node.
+    ///
+    /// Every intermediate lives in `scratch`, so once its buffers reach
+    /// their high-water mark, further walks of graphs no larger allocate
+    /// nothing. `token` is checked once per node in both phases: a deadline
+    /// or shutdown is observed within one op step and surfaces as
+    /// [`PredictError::Cancelled`]. A walk that completes is bitwise
+    /// identical whatever the cache, token or scratch history — the checks
+    /// read, never write, the walk state.
     ///
     /// # Errors
     /// [`PredictError::Lower`] on malformed graphs,
     /// [`PredictError::Cancelled`] when the token fired first.
-    pub fn predict_memoized_cancellable(
-        &self,
-        graph: &Graph,
-        cache: &MemoCache,
-        token: &CancellationToken,
-    ) -> Result<Prediction, PredictError> {
-        self.predict_with_batch_inner(graph, Some(token), |specs| {
-            self.registry.predict_batch_memoized(cache, specs)
-        })
-    }
-
-    /// Like [`E2ePredictor::predict`], but staging every intermediate —
-    /// kernel specs, per-node ranges and overheads, predicted values, the
-    /// walk state itself, and the MLP forward buffers — in `scratch`.
-    /// After the first call on a scratch, subsequent walks of graphs no
-    /// larger than the high-water mark perform **zero** heap allocation.
-    /// Bitwise identical to [`E2ePredictor::predict`]: same lowering
-    /// order, same batched evaluation, same frozen stepping sequence.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_scratch(
-        &self,
-        graph: &Graph,
-        scratch: &mut WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predict_scratch_inner(graph, None, scratch)
-    }
-
-    /// The scratch-backed form of [`E2ePredictor::predict_memoized`]:
-    /// memo-cache probing reuses `scratch`'s key/slot staging, misses are
-    /// evaluated through its arena, and the walk steps straight out of its
-    /// flat values vec. Bitwise identical to the owning path.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_memoized_scratch(
-        &self,
-        graph: &Graph,
-        cache: &MemoCache,
-        scratch: &mut WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predict_scratch_inner(graph, Some(cache), scratch)
-    }
-
-    fn predict_scratch_inner(
+    pub fn walk(
         &self,
         graph: &Graph,
         cache: Option<&MemoCache>,
+        token: Option<&CancellationToken>,
         scratch: &mut WalkScratch,
-    ) -> Result<Prediction, LowerError> {
+    ) -> Result<Prediction, PredictError> {
         let _span = dlperf_obs::span("walk", dlperf_obs::SpanKind::Work);
+        self.stage(graph, 0..graph.node_count(), cache, token, scratch)?;
+        self.step_staged(graph, token, scratch)?;
+        let counters = walk_counters();
+        counters.walks.incr();
+        counters.nodes.add(graph.node_count() as u64);
+        Ok(scratch.state.finish())
+    }
+
+    /// The walk's first phase, shared with the incremental predictor:
+    /// lowers the nodes at positions `nodes` of `graph` and stages their
+    /// kernel specs, per-node ranges and overheads in `scratch`, then
+    /// prices every staged kernel in **one** evaluator call. Seeing the
+    /// concatenated kernel list (in node order) lets the registry batch
+    /// per-family MLP inference and memo-cache traffic instead of going
+    /// kernel by kernel.
+    pub(crate) fn stage(
+        &self,
+        graph: &Graph,
+        nodes: std::ops::Range<usize>,
+        cache: Option<&MemoCache>,
+        token: Option<&CancellationToken>,
+        scratch: &mut WalkScratch,
+    ) -> Result<(), PredictError> {
         scratch.specs.clear();
         scratch.ranges.clear();
         scratch.oh.clear();
         scratch.values.clear();
-        for node in graph.nodes() {
+        for node in &graph.nodes()[nodes] {
+            if token.is_some_and(|t| t.is_cancelled()) {
+                return Err(PredictError::Cancelled);
+            }
             let start = scratch.specs.len();
             scratch.specs.extend(lower::try_kernels(graph, node)?);
             scratch.ranges.push(start..scratch.specs.len());
@@ -333,8 +322,22 @@ impl E2ePredictor {
                 &mut scratch.values,
             ),
         }
+        Ok(())
+    }
+
+    /// The walk's second phase: steps fresh clocks over every node of
+    /// `graph` from the costs [`E2ePredictor::stage`] left in `scratch`.
+    fn step_staged(
+        &self,
+        graph: &Graph,
+        token: Option<&CancellationToken>,
+        scratch: &mut WalkScratch,
+    ) -> Result<(), PredictError> {
         scratch.state.reset();
         for ((node, r), oh) in graph.nodes().iter().zip(&scratch.ranges).zip(&scratch.oh) {
+            if token.is_some_and(|t| t.is_cancelled()) {
+                return Err(PredictError::Cancelled);
+            }
             scratch.state.step_parts(
                 node,
                 oh,
@@ -343,14 +346,13 @@ impl E2ePredictor {
                 self.launch_factor,
             );
         }
-        let counters = walk_counters();
-        counters.walks.incr();
-        counters.nodes.add(graph.node_count() as u64);
-        Ok(scratch.state.finish())
+        Ok(())
     }
 
     /// The five launch overheads of one op key. Pure in `op_key` given the
-    /// predictor's frozen overhead database and policies.
+    /// predictor's frozen overhead database and policies — two
+    /// structurally identical nodes get bitwise identical overheads, the
+    /// property incremental re-prediction's prefix/suffix reuse rests on.
     pub(crate) fn overheads_of(&self, op_key: &str) -> Overheads {
         Overheads {
             t1: self.overhead(op_key, OverheadType::T1),
@@ -360,116 +362,15 @@ impl E2ePredictor {
             t5: self.overhead(op_key, OverheadType::T5),
         }
     }
+}
 
-    /// Assembles the cost bundle of one node from its op key and the
-    /// already-evaluated kernel times. Pure in `(op key, kernels)`: two
-    /// structurally identical nodes get bitwise identical bundles, the
-    /// property incremental re-prediction's prefix/suffix reuse rests on.
-    pub(crate) fn node_cost(&self, op_key: &str, kernels: Vec<(f64, Confidence)>) -> NodeCosts {
-        NodeCosts { oh: self.overheads_of(op_key), kernels }
-    }
-
-    /// Lowers every node and prices all kernels in **one** evaluator call:
-    /// the evaluator sees the concatenated kernel list of the whole graph
-    /// (in node order), which lets it batch per-family MLP inference and
-    /// memo-cache traffic instead of going kernel by kernel.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub(crate) fn node_costs_batch(
-        &self,
-        graph: &Graph,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Vec<NodeCosts>, LowerError> {
-        match self.node_costs_batch_inner(graph, None, eval) {
-            Ok(costs) => Ok(costs),
-            Err(PredictError::Lower(e)) => Err(e),
-            Err(PredictError::Cancelled) => unreachable!("no cancellation token supplied"),
-        }
-    }
-
-    fn node_costs_batch_inner(
-        &self,
-        graph: &Graph,
-        token: Option<&CancellationToken>,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Vec<NodeCosts>, PredictError> {
-        let mut specs: Vec<KernelSpec> = Vec::new();
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(graph.node_count());
-        for node in graph.nodes() {
-            if token.is_some_and(|t| t.is_cancelled()) {
-                return Err(PredictError::Cancelled);
-            }
-            let start = specs.len();
-            specs.extend(lower::try_kernels(graph, node)?);
-            ranges.push(start..specs.len());
-        }
-        let mut values = eval(&specs).into_iter();
-        Ok(graph
-            .nodes()
-            .iter()
-            .zip(ranges)
-            .map(|(node, r)| {
-                let kernels: Vec<(f64, Confidence)> = values.by_ref().take(r.len()).collect();
-                self.node_cost(node.op.overhead_key(), kernels)
-            })
-            .collect())
-    }
-
-    /// The Algorithm 1 walk in two phases: lower + batch-evaluate every
-    /// kernel, then step the clocks node by node. The stepping arithmetic
-    /// lives in [`WalkState::step`], shared with the incremental predictor
-    /// so the two paths cannot drift.
-    fn predict_with_batch(
-        &self,
-        graph: &Graph,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Prediction, LowerError> {
-        match self.predict_with_batch_inner(graph, None, eval) {
-            Ok(p) => Ok(p),
-            Err(PredictError::Lower(e)) => Err(e),
-            Err(PredictError::Cancelled) => unreachable!("no cancellation token supplied"),
-        }
-    }
-
-    /// The walk with an optional cancellation token checked once per node
-    /// in both phases, so a deadline expiring mid-walk is observed within
-    /// one op step.
-    fn predict_with_batch_inner(
-        &self,
-        graph: &Graph,
-        token: Option<&CancellationToken>,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Prediction, PredictError> {
-        let _span = dlperf_obs::span("walk", dlperf_obs::SpanKind::Work);
-        let costs = self.node_costs_batch_inner(graph, token, eval)?;
-        let mut state = WalkState::new();
-        for (node, c) in graph.nodes().iter().zip(&costs) {
-            if token.is_some_and(|t| t.is_cancelled()) {
-                return Err(PredictError::Cancelled);
-            }
-            state.step(node, c, self.kernel_gap_us, self.launch_factor);
-        }
-        let counters = walk_counters();
-        counters.walks.incr();
-        counters.nodes.add(graph.node_count() as u64);
-        Ok(state.finish())
-    }
-
-    /// Predicted GPU active time alone (the sum of kernel predictions) —
-    /// the paper's `kernel_only` baseline quantity.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_active(&self, graph: &Graph) -> Result<f64, LowerError> {
-        let mut total = 0.0;
-        for node in graph.nodes() {
-            for k in lower::try_kernels(graph, node)? {
-                total += self.registry.predict_with_confidence(&k).0;
-            }
-        }
-        Ok(total)
-    }
+/// Narrows the result of a walk run without a token to its only possible
+/// failure.
+pub(crate) fn uncancelled<T>(r: Result<T, PredictError>) -> Result<T, LowerError> {
+    r.map_err(|e| match e {
+        PredictError::Lower(e) => e,
+        PredictError::Cancelled => unreachable!("no cancellation token supplied"),
+    })
 }
 
 /// The five launch overheads of one node, `Copy` so scratch paths can
@@ -481,17 +382,6 @@ pub(crate) struct Overheads {
     pub(crate) t3: f64,
     pub(crate) t4: f64,
     pub(crate) t5: f64,
-}
-
-/// The priced cost bundle of one node: its five launch overheads and the
-/// predicted `(time, confidence)` of each kernel it launches, in launch
-/// order. Pure in the node's structural signature — which is why the
-/// incremental predictor may reuse a baseline node's bundle verbatim for
-/// any structurally identical node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct NodeCosts {
-    pub(crate) oh: Overheads,
-    pub(crate) kernels: Vec<(f64, Confidence)>,
 }
 
 /// Reusable scratch for repeated Algorithm-1 walks: every container a walk
@@ -540,9 +430,9 @@ impl WalkScratch {
 /// `max(x, -inf) == x` and the fold still starts at `0.0`.
 pub(crate) const NOT_READY: f64 = f64::NEG_INFINITY;
 
-/// The mutable clock state of an Algorithm 1 walk. [`WalkState::step`] is
-/// the *only* place the stepping arithmetic exists; the full predictor and
-/// the incremental predictor both drive it, which is what makes incremental
+/// The mutable clock state of an Algorithm 1 walk. [`WalkState::step_parts`]
+/// is the *only* place the stepping arithmetic exists; the walk and the
+/// incremental predictor both drive it, which is what makes incremental
 /// re-prediction bitwise identical to a fresh walk by construction.
 ///
 /// The containers are deliberately flat — a linear-scanned vec for the
@@ -565,20 +455,10 @@ pub(crate) struct WalkState {
 }
 
 impl WalkState {
-    pub(crate) fn new() -> Self {
-        WalkState {
-            cpu: 0.0,
-            streams: Vec::new(),
-            tensor_ready: Vec::new(),
-            active: 0.0,
-            degraded: 0,
-        }
-    }
-
     /// Returns the state to the fresh-walk initial value while keeping the
     /// stream and tensor-ready container capacities, so a reused state
     /// walks subsequent graphs without reallocating. A reset state is
-    /// indistinguishable from [`WalkState::new`] to every reader: the
+    /// indistinguishable from a default state to every reader: the
     /// tensor table is emptied, not zeroed, and `set_ready` re-grows it
     /// with [`NOT_READY`] exactly as a fresh walk would.
     pub(crate) fn reset(&mut self) {
@@ -618,18 +498,11 @@ impl WalkState {
             .filter(|&b| b != NOT_READY.to_bits())
     }
 
-    /// Advances the clocks over one node. The float operation sequence is
-    /// frozen: any reordering (even an algebraically neutral one) changes
-    /// low bits and breaks the determinism contract pinned by the golden
-    /// snapshots.
-    pub(crate) fn step(&mut self, node: &Node, costs: &NodeCosts, gap_us: f64, launch_factor: f64) {
-        self.step_parts(node, &costs.oh, &costs.kernels, gap_us, launch_factor);
-    }
-
-    /// [`WalkState::step`] with the cost bundle passed as parts — overheads
-    /// plus a borrowed kernel slice — so scratch-backed walks can step
-    /// straight out of a flat reusable values vec without assembling
-    /// per-node [`NodeCosts`]. Same float operation sequence, bitwise.
+    /// Advances the clocks over one node, given its overheads and the
+    /// predicted `(time, confidence)` of each kernel it launches, in launch
+    /// order. The float operation sequence is frozen: any reordering (even
+    /// an algebraically neutral one) changes low bits and breaks the
+    /// determinism contract pinned by the golden snapshots.
     pub(crate) fn step_parts(
         &mut self,
         node: &Node,
@@ -741,7 +614,7 @@ mod tests {
     #[test]
     fn active_prediction_within_band() {
         let (g, pred, _, measured_active) = setup(512);
-        let active = pred.predict_active(&g).unwrap();
+        let active = pred.predict(&g).unwrap().active_us;
         let err = ((active - measured_active) / measured_active).abs();
         assert!(
             err < 0.25,
@@ -751,12 +624,26 @@ mod tests {
     }
 
     #[test]
+    fn active_time_is_the_scalar_kernel_sum_bitwise() {
+        // The `kernel_only` contract: predicted GPU active time is the sum,
+        // from 0.0 in launch order, of each kernel's scalar prediction.
+        let (g, pred, _, _) = setup(256);
+        let mut scalar = 0.0;
+        for node in g.nodes() {
+            for k in lower::try_kernels(&g, node).unwrap() {
+                scalar += pred.registry().predict_with_confidence(&k).0;
+            }
+        }
+        assert_eq!(pred.predict(&g).unwrap().active_us.to_bits(), scalar.to_bits());
+    }
+
+    #[test]
     fn kernel_only_underestimates_low_utilization_workloads() {
         // The Fig. 9 message: at small batch (low utilization) kernel_only
         // is far below the measured E2E time while the full model is close.
         let (g, pred, measured, _) = setup(128);
         let p = pred.predict(&g).unwrap();
-        let kernel_only = pred.predict_active(&g).unwrap();
+        let kernel_only = p.active_us;
         let e2e_err = ((p.e2e_us - measured) / measured).abs();
         let ko_err = ((kernel_only - measured) / measured).abs();
         assert!(
@@ -798,68 +685,76 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_path_matches_plain_bitwise_and_observes_token() {
-        let (g, pred, _, _) = setup(256);
-        let cache = MemoCache::new();
-        let token = CancellationToken::new();
-        let plain = pred.predict_memoized(&g, &MemoCache::new()).unwrap();
-        let cancellable = pred.predict_memoized_cancellable(&g, &cache, &token).unwrap();
-        assert_eq!(plain.e2e_us.to_bits(), cancellable.e2e_us.to_bits());
-        assert_eq!(plain, cancellable);
-
-        token.cancel();
-        match pred.predict_memoized_cancellable(&g, &cache, &token) {
-            Err(PredictError::Cancelled) => {}
-            other => panic!("expected Cancelled, got {other:?}"),
+    fn walk_matches_predict_bitwise_across_cache_token_and_scratch() {
+        let (_, pred, _, _) = setup(256);
+        let dlrm = dlperf_models::zoo::build("dlrm-default", 256).unwrap();
+        let cv = dlperf_models::zoo::build("resnet50", 16).unwrap();
+        let live = CancellationToken::new();
+        let cancelled = CancellationToken::new();
+        cancelled.cancel();
+        for g in [&dlrm, &cv] {
+            let want = pred.predict(g).unwrap();
+            let warm = MemoCache::new();
+            pred.predict_memoized(g, &warm).unwrap();
+            let mut reused = WalkScratch::new();
+            for cache in ["none", "cold", "warm"] {
+                for token in [None, Some(&live), Some(&cancelled)] {
+                    for fresh in [true, false] {
+                        let cold = MemoCache::new();
+                        let cache_arg = match cache {
+                            "none" => None,
+                            "cold" => Some(&cold),
+                            _ => Some(&warm),
+                        };
+                        let mut own = WalkScratch::new();
+                        let scratch = if fresh { &mut own } else { &mut reused };
+                        let case =
+                            format!("{} cache={cache} token={token:?} fresh={fresh}", g.name);
+                        match (pred.walk(g, cache_arg, token, scratch), token) {
+                            (Err(PredictError::Cancelled), Some(t)) if t.is_cancelled() => {}
+                            (Ok(p), t) if !t.is_some_and(|t| t.is_cancelled()) => {
+                                assert_eq!(p.e2e_us.to_bits(), want.e2e_us.to_bits(), "{case}");
+                                assert_eq!(p, want, "{case}");
+                            }
+                            (other, _) => panic!("{case}: unexpected {other:?}"),
+                        }
+                    }
+                }
+            }
         }
-    }
-
-    #[test]
-    fn token_fired_mid_walk_is_observed_within_one_step() {
-        // Cancel from inside the kernel evaluator — i.e. after lowering,
-        // before the first clock step — and require the typed error: the
-        // stepping loop must notice the flag at its very next iteration.
-        let (g, pred, _, _) = setup(256);
-        let token = CancellationToken::new();
-        let result = pred.predict_with_batch_inner(&g, Some(&token), |specs| {
-            token.cancel();
-            pred.registry().predict_batch_with_confidence(specs)
-        });
-        match result {
-            Err(PredictError::Cancelled) => {}
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scratch_paths_match_owning_paths_bitwise_and_reuse_buffers() {
-        let (g, pred, _, _) = setup(256);
-        let plain = pred.predict(&g).unwrap();
-        let mut scratch = WalkScratch::new();
-        let s = pred.predict_scratch(&g, &mut scratch).unwrap();
-        assert_eq!(plain.e2e_us.to_bits(), s.e2e_us.to_bits());
-        assert_eq!(plain, s);
-
-        let cache = MemoCache::new();
-        let owned = pred.predict_memoized(&g, &MemoCache::new()).unwrap();
-        let m = pred.predict_memoized_scratch(&g, &cache, &mut scratch).unwrap();
-        assert_eq!(owned.e2e_us.to_bits(), m.e2e_us.to_bits());
-        assert_eq!(owned, m);
 
         // Steady state: repeated walks of the same graph serve every
         // buffer checkout from pooled capacity — misses stay flat. Walk
         // uncached so batched inference (the arena consumer) actually
         // runs every iteration; a warm memo cache would skip it entirely.
+        let mut scratch = WalkScratch::new();
+        let first = pred.walk(&dlrm, None, None, &mut scratch).unwrap();
         let misses = scratch.arena_stats().misses;
         let takes = scratch.arena_stats().takes;
         for _ in 0..5 {
-            let again = pred.predict_scratch(&g, &mut scratch).unwrap();
-            assert_eq!(again, s);
+            assert_eq!(pred.walk(&dlrm, None, None, &mut scratch).unwrap(), first);
         }
         let after = scratch.arena_stats();
         assert_eq!(after.misses, misses, "steady-state walks must not allocate: {after:?}");
         assert!(after.takes > takes, "walks must actually go through the arena");
         assert!(after.high_water_f64s > 0);
+    }
+
+    #[test]
+    fn token_fired_mid_walk_is_observed_within_one_step() {
+        // Cancel between the walk's two phases — after lowering and
+        // pricing, before the first clock step — and require the typed
+        // error before any node is stepped.
+        let (g, pred, _, _) = setup(256);
+        let token = CancellationToken::new();
+        let mut scratch = WalkScratch::new();
+        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch).unwrap();
+        token.cancel();
+        match pred.step_staged(&g, Some(&token), &mut scratch) {
+            Err(PredictError::Cancelled) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        assert_eq!(scratch.state, WalkState::default(), "no node may be stepped");
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! one *without running anything*, and emit the top-k "optimizations
 //! worth doing" as an [`OptimizationReport`].
 //!
-//! The inner loop is [`IncrementalPredictor::repredict_scratch`]: each
-//! device axis keeps one checkpointed baseline walk, and every candidate
-//! whose mutation touches only part of the graph re-prices just its dirty
+//! Candidates are priced by the crate's one what-if evaluator — the same
+//! code the sweep engine prices scenarios with. Its inner loop is
+//! [`crate::IncrementalPredictor::repredict_scratch`]: each device axis
+//! keeps one checkpointed baseline walk, and every candidate whose
+//! mutation touches only part of the graph re-prices just its dirty
 //! frontier (~16× cheaper warm than a full walk). Moves are generated
 //! legality-first — the `graph::transform` legality predicates
 //! ([`dlperf_graph::transform::legality`]) gate graph moves before any
@@ -36,20 +38,19 @@
 //! incumbent-relative slack bound (`prune_slack`) makes that trade-off
 //! explicit and configurable. See DESIGN.md §14 for the full argument.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dlperf_graph::transform::{can_fuse_embedding_bags, can_resize_batch, hoistable_nodes};
 use dlperf_graph::Graph;
-use dlperf_kernels::MemoCache;
 use dlperf_runtime::CancellationToken;
 
-use crate::incremental::IncrementalPredictor;
+use crate::evaluator::{Evaluator, PreparedGraph};
 use crate::pipeline::Pipeline;
-use crate::predictor::WalkScratch;
-use crate::sweep::{par_map_with, prepare_graph, GraphMutation, PooledScratch};
+use crate::sweep::{par_map_with, GraphMutation};
 
 /// Process-wide search counters: candidate evaluations, branch-and-bound
 /// prunes, and how many evaluations rode the incremental path vs. fell
@@ -230,7 +231,8 @@ pub struct SearchConfig {
     pub top_k: usize,
     /// Worker threads for beam expansion (1 = the bitwise reference path).
     pub threads: usize,
-    /// Whether kernel-model queries go through per-device memo caches.
+    /// Whether kernel-model queries go through per-device memo caches and
+    /// candidates with equal mutation lists share one prepared graph.
     pub use_cache: bool,
     /// Branch-and-bound slack: a candidate predicted slower than the
     /// incumbent best by more than this fraction is pruned (not expanded
@@ -354,10 +356,6 @@ pub struct OptimizationSearch<'a, X = NoExtra> {
     extra_gen: Option<&'a dyn MoveGenerator<X>>,
     extra_scorer: Option<&'a dyn ExtraScorer<X>>,
     token: CancellationToken,
-    /// Pooled walk scratches, persisted across runs like the sweep
-    /// engine's pool: steady-state searches are allocation-free on the
-    /// pricing hot path.
-    scratch_pool: Mutex<Vec<WalkScratch>>,
 }
 
 impl<'a, X> OptimizationSearch<'a, X>
@@ -376,7 +374,6 @@ where
             extra_gen: None,
             extra_scorer: None,
             token: CancellationToken::new(),
-            scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -438,25 +435,19 @@ where
             return Err(SearchError::NoPipelines);
         }
 
-        // One memo cache and one checkpointed incremental baseline per
-        // device: the baselines are the anchors every repredict splices
-        // against, and building them is the only full walk the search
-        // pays per device.
-        let caches: Vec<Arc<MemoCache>> = self
-            .pipelines
-            .iter()
-            .map(|_| Arc::new(MemoCache::with_capacity(crate::sweep::DEFAULT_MEMO_CAPACITY)))
-            .collect();
-        let baselines: Vec<Arc<IncrementalPredictor>> = self
-            .pipelines
-            .iter()
-            .enumerate()
-            .map(|(d, p)| {
-                IncrementalPredictor::with_cache(p.predictor().clone(), base.clone(), &caches[d])
-                    .map(Arc::new)
+        // A fresh evaluator per run, so no state crosses runs (the served
+        // Optimize answer relies on it). Its per-device baselines are the
+        // anchors every candidate splices against, and building them is the
+        // only full walk the search pays per device.
+        let mut eval = Evaluator::new(Cow::Borrowed(self.pipelines));
+        eval.cache = self.config.use_cache;
+        eval.rebase(base);
+        let baselines = (0..self.pipelines.len())
+            .map(|d| {
+                eval.baseline(base, d)
                     .map_err(|e| SearchError::Lower { device: d, reason: e.to_string() })
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
         let baseline_e2e = baselines[0].baseline_prediction().e2e_us;
 
         // Per-device one-sigma relative error bands from the calibrated
@@ -472,12 +463,7 @@ where
         seen.insert(root.clone());
         // Frontier entries carry the candidate's prepared graph so the
         // next expansion can run legality checks without re-preparing.
-        let base_arc = Arc::new(base.clone());
-        let mut frontier: Vec<(Candidate<X>, Arc<Graph>)> = vec![(root, base_arc.clone())];
-        // Prepared-graph sharing within the run: device moves and
-        // diamond-shaped move orders reuse the same mutation list.
-        let prepared: Mutex<HashMap<Vec<GraphMutation>, Arc<Graph>>> =
-            Mutex::new(HashMap::from([(Vec::new(), base_arc)]));
+        let mut frontier: Vec<(Candidate<X>, PreparedGraph)> = vec![(root, eval.graph(base, &[]))];
 
         let device_moves = DeviceMoves { devices: self.pipelines.len() };
         let mut all_scored: Vec<ScoredCandidate<X>> = Vec::new();
@@ -494,7 +480,10 @@ where
             // Expand the frontier in order; generators are deterministic
             // and the seen-set preserves first-generation order.
             let mut children: Vec<Candidate<X>> = Vec::new();
-            for (cand, graph) in &frontier {
+            for (cand, prepared) in &frontier {
+                // Only candidates that priced enter the frontier, so their
+                // graphs prepared.
+                let Ok(graph) = prepared.as_ref() else { continue };
                 let mut push = |c: Candidate<X>| {
                     if seen.insert(c.clone()) {
                         children.push(c);
@@ -518,41 +507,28 @@ where
 
             // Price every child in parallel, results slotted by input
             // index. Each worker reuses one pooled scratch.
-            type Priced<X> = Result<(ScoredCandidate<X>, Arc<Graph>), String>;
+            type Priced<X> = Result<(ScoredCandidate<X>, PreparedGraph), String>;
             let priced: Vec<Option<Priced<X>>> = par_map_with(
                 self.config.threads,
                 &self.token,
                 &children,
-                || PooledScratch::checkout(&self.scratch_pool),
+                || eval.scratch(),
                 |scratch, _, cand: &Candidate<X>| {
-                    let graph = {
-                        let hit = prepared.lock().expect("prepared map poisoned").get(&cand.mutations).cloned();
-                        match hit {
-                            Some(g) => g,
-                            None => {
-                                let g = Arc::new(
-                                    prepare_graph(base, &cand.mutations).map_err(|e| e.to_string())?,
-                                );
-                                prepared
-                                    .lock()
-                                    .expect("prepared map poisoned")
-                                    .entry(cand.mutations.clone())
-                                    .or_insert_with(|| g.clone())
-                                    .clone()
+                    let (e2e, incremental, graph) = match (&cand.extra, self.extra_scorer) {
+                        (Some(x), Some(scorer)) => {
+                            let graph = eval.graph(base, &cand.mutations);
+                            if let Err(e) = graph.as_ref() {
+                                return Err(e.to_string());
                             }
+                            (scorer.price(&cand.mutations, x)?, false, graph)
                         }
-                    };
-                    let (e2e, incremental) = match (&cand.extra, self.extra_scorer) {
-                        (Some(x), Some(scorer)) => (scorer.price(&cand.mutations, x)?, false),
                         (Some(x), None) => {
                             return Err(format!("no scorer for extra axis move `{x}`"));
                         }
                         (None, _) => {
-                            let cache = self.config.use_cache.then(|| &*caches[cand.device]);
-                            let (p, stats) = baselines[cand.device]
-                                .repredict_scratch(&graph, cache, scratch.get())
-                                .map_err(|e| e.to_string())?;
-                            (p.e2e_us, !stats.full_fallback)
+                            let p = eval.price(base, cand.device, &cand.mutations, scratch.get())?;
+                            let incremental = p.incremental.is_some_and(|s| !s.full_fallback);
+                            (p.prediction.e2e_us, incremental, p.graph)
                         }
                     };
                     let band = rel_err[cand.device].map(|r| e2e * r);
@@ -577,7 +553,7 @@ where
 
             // Collect scores in input order; failed candidates (illegal
             // combinations the legality gates could not see) are dropped.
-            let mut scored_children: Vec<(usize, ScoredCandidate<X>, Arc<Graph>)> = Vec::new();
+            let mut scored_children: Vec<(usize, ScoredCandidate<X>, PreparedGraph)> = Vec::new();
             for (i, slot) in priced.into_iter().enumerate() {
                 match slot.expect("checked above") {
                     Ok((sc, g)) => scored_children.push((i, sc, g)),
@@ -606,7 +582,7 @@ where
             // Beam + branch-and-bound: next frontier is the beam_width
             // best children within the incumbent-relative slack bound.
             let bound = incumbent * (1.0 + self.config.prune_slack);
-            let mut next: Vec<(usize, ScoredCandidate<X>, Arc<Graph>)> = scored_children
+            let mut next: Vec<(usize, ScoredCandidate<X>, PreparedGraph)> = scored_children
                 .iter()
                 .filter(|(_, sc, _)| sc.e2e_us <= bound)
                 .cloned()

@@ -5,20 +5,20 @@
 //! fast is the production workload this crate targets. [`SweepEngine`]
 //! fans a [`Scenario`] list across worker threads (a scoped
 //! pool pulling indices from a shared claim counter, so fast workers
-//! steal whatever slow workers have not started), answers kernel-model
-//! queries from one [`MemoCache`] per calibrated pipeline, honors a
-//! runtime [`CancellationToken`] between scenarios, and can run under a
+//! steal whatever slow workers have not started), honors a runtime
+//! [`CancellationToken`] between scenarios, and can run under a
 //! [`Supervisor`] with chunked checkpoints for kill/resume.
 //!
-//! With caching enabled the engine also *prepares graphs once*: scenarios
-//! with the same mutation list (e.g. the same `hoisted` variant priced on
-//! three devices) share one transformed graph instead of re-running the
-//! transform per cell, and the prepared graphs persist across runs of the
-//! same engine on the same base graph (detected by graph-index identity),
-//! so steady-state re-sweeps skip the transform *and* the structural
-//! signature pass entirely. Preparing and indexing a graph costs about
-//! as much as one memoized walk of it, so sharing one prepared graph
-//! across a variant's devices saves most of that work.
+//! Each scenario is priced by the crate's one what-if evaluator — the
+//! same code the optimization search prices its candidates with. It
+//! answers kernel-model queries from one [`dlperf_kernels::MemoCache`]
+//! per calibrated pipeline, *prepares graphs once* (scenarios with the
+//! same mutation list, e.g. the same `hoisted` variant priced on three
+//! devices, share one transformed graph), and re-prices each scenario's
+//! dirty frontier against a per-device baseline walk. All of it persists
+//! across runs of the same engine on the same base graph (detected by
+//! graph-index identity), so steady-state re-sweeps skip the transform,
+//! the structural signature pass and the baseline walks entirely.
 //!
 //! **Determinism contract:** every scenario evaluation is a pure function
 //! of `(pipeline, base graph, scenario)`; results are written to the slot
@@ -30,6 +30,7 @@
 //! sequential one at any thread count, cache on or off — `tests/sweep.rs`
 //! pins that property.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,7 +39,7 @@ use dlperf_graph::transform::{
     fuse_embedding_bags, hoist_all, hoist_earliest, replace_op, resize_batch, TransformError,
 };
 use dlperf_graph::{Graph, NodeId, OpKind};
-use dlperf_kernels::{MemoCache, MemoCacheStats};
+use dlperf_kernels::MemoCacheStats;
 use dlperf_runtime::{
     CancellationToken, JobContext, JobError, ResumableJob, RunReport, StepOutcome, Supervisor,
     SupervisorError,
@@ -47,7 +48,8 @@ use serde::{Deserialize, Serialize};
 
 use dlperf_nn::ArenaStats;
 
-use crate::incremental::{IncrementalPredictor, IncrementalStats};
+use crate::evaluator::Evaluator;
+use crate::incremental::IncrementalStats;
 use crate::pipeline::Pipeline;
 use crate::predictor::{Prediction, WalkScratch};
 
@@ -151,32 +153,17 @@ pub struct Scenario {
     pub device: usize,
     /// Rewrites applied to the base graph, in order.
     pub mutations: Vec<GraphMutation>,
-    /// Parallelism-strategy tag (`"hybrid"`, `"dp"`, `"mp"`, `"pp"`).
-    /// The single-GPU engine prices the cell identically regardless —
-    /// the tag is a pass-through axis that distributed consumers
-    /// (`dlperf-distrib`'s sharding sweeps, the serve recommender) expand
-    /// into actual strategy-parametrized jobs. Absent in old scenario
-    /// JSON and omitted when unset, so stored sweeps round-trip
-    /// unchanged.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub strategy: Option<String>,
 }
 
 impl Scenario {
     /// A scenario pricing the unmodified base graph on `device`.
     pub fn new(label: impl Into<String>, device: usize) -> Self {
-        Scenario { label: label.into(), device, mutations: Vec::new(), strategy: None }
+        Scenario { label: label.into(), device, mutations: Vec::new() }
     }
 
     /// Adds a mutation (builder style).
     pub fn with(mut self, m: GraphMutation) -> Self {
         self.mutations.push(m);
-        self
-    }
-
-    /// Tags the scenario with a parallelism strategy (builder style).
-    pub fn with_strategy(mut self, strategy: impl Into<String>) -> Self {
-        self.strategy = Some(strategy.into());
         self
     }
 }
@@ -189,7 +176,6 @@ pub struct ScenarioMatrix {
     devices: Vec<(String, usize)>,
     batches: Vec<u64>,
     variants: Vec<(String, Vec<GraphMutation>)>,
-    strategies: Vec<String>,
 }
 
 impl ScenarioMatrix {
@@ -216,15 +202,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Adds parallelism-strategy axis entries (e.g. `"hybrid"`, `"dp"`).
-    /// A pass-through axis on the single-GPU engine (each tagged cell
-    /// prices identically); distributed consumers expand the tags into
-    /// strategy-parametrized jobs. Labels gain a `/{strategy}` suffix.
-    pub fn strategies(mut self, strategies: &[&str]) -> Self {
-        self.strategies.extend(strategies.iter().map(|s| s.to_string()));
-        self
-    }
-
     /// Enumerates the full cross product.
     pub fn build(&self) -> Vec<Scenario> {
         let variants: &[(String, Vec<GraphMutation>)] = if self.variants.is_empty() {
@@ -233,34 +210,19 @@ impl ScenarioMatrix {
             &self.variants
         };
         let batches: &[u64] = if self.batches.is_empty() { &[0] } else { &self.batches };
-        let strategies: &[Option<String>] = &if self.strategies.is_empty() {
-            vec![None]
-        } else {
-            self.strategies.iter().cloned().map(Some).collect::<Vec<_>>()
-        };
         let mut out = Vec::new();
         for (dev_name, dev) in &self.devices {
             for &b in batches {
                 for (var_name, muts) in variants {
-                    for strategy in strategies {
-                        let mut mutations = Vec::new();
-                        let mut label = dev_name.clone();
-                        if b != 0 {
-                            mutations.push(GraphMutation::ResizeBatch(b));
-                            label.push_str(&format!("/b{b}"));
-                        }
-                        mutations.extend(muts.iter().cloned());
-                        label.push_str(&format!("/{var_name}"));
-                        if let Some(s) = strategy {
-                            label.push_str(&format!("/{s}"));
-                        }
-                        out.push(Scenario {
-                            label,
-                            device: *dev,
-                            mutations,
-                            strategy: strategy.clone(),
-                        });
+                    let mut mutations = Vec::new();
+                    let mut label = dev_name.clone();
+                    if b != 0 {
+                        mutations.push(GraphMutation::ResizeBatch(b));
+                        label.push_str(&format!("/b{b}"));
                     }
+                    mutations.extend(muts.iter().cloned());
+                    label.push_str(&format!("/{var_name}"));
+                    out.push(Scenario { label, device: *dev, mutations });
                 }
             }
         }
@@ -321,7 +283,7 @@ pub struct SweepOutcome {
 /// Aggregate accounting of the incremental fast path over one sweep run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrementalSummary {
-    /// Scenarios priced via [`IncrementalPredictor::repredict`].
+    /// Scenarios priced via [`crate::IncrementalPredictor::repredict`].
     pub scenarios: usize,
     /// Nodes whose state/costs were reused from a baseline (prefix+suffix).
     pub reused_nodes: usize,
@@ -341,14 +303,6 @@ impl IncrementalSummary {
         self.recomputed_nodes += s.recomputed;
         self.spliced += usize::from(s.spliced);
         self.full_fallbacks += usize::from(s.full_fallback);
-    }
-}
-
-impl From<&IncrementalStats> for IncrementalSummary {
-    fn from(s: &IncrementalStats) -> Self {
-        let mut sum = IncrementalSummary::default();
-        sum.absorb(s);
-        sum
     }
 }
 
@@ -449,8 +403,6 @@ pub fn prepare_graph(base: &Graph, mutations: &[GraphMutation]) -> Result<Graph,
 pub struct PreparedStoreStats {
     /// Prepared graphs currently stored.
     pub graphs: usize,
-    /// Incremental baselines currently stored (at most one per device).
-    pub baselines: usize,
     /// Lookups answered from the store.
     pub hits: u64,
     /// Lookups that found nothing.
@@ -469,26 +421,23 @@ struct PreparedInner {
     /// Each prepared graph carries its last-access epoch stamp for LRU
     /// eviction under the capacity cap.
     graphs: HashMap<Vec<GraphMutation>, StampedGraph>,
-    baselines: HashMap<usize, Arc<IncrementalPredictor>>,
     epoch: u64,
 }
 
-/// Prepared graphs and incremental baselines shared across runs — and,
-/// via `Arc`, across engines and server workers — valid for a single base
-/// graph. The base is identified by its cached
+/// Prepared graphs shared across runs and server workers, valid for a
+/// single base graph. The base is identified by its cached
 /// [`dlperf_graph::GraphIndex`] `Arc`: any structural mutation of the
 /// base drops that cache (see `Graph::index`), so a changed pointer means
 /// a changed base and clears the store. Holding the `Arc` keeps its
 /// address from being reused by a later allocation. Everything stored is a
-/// deterministic pure function of `(base, mutations)` / `(pipeline, base)`,
-/// so reuse is invisible in results.
+/// deterministic pure function of `(base, mutations)`, so reuse is
+/// invisible in results.
 ///
-/// Like [`MemoCache`], the store can be capped
+/// Like [`dlperf_kernels::MemoCache`], the store can be capped
 /// ([`PreparedStore::with_capacity`]): once `capacity` graphs are held,
 /// inserting a new mutation list evicts the least-recently-accessed one.
-/// Baselines are not capped — there is at most one per device. Eviction
-/// changes only what gets re-prepared, never what a prepared graph
-/// contains.
+/// Eviction changes only what gets re-prepared, never what a prepared
+/// graph contains.
 #[derive(Debug)]
 pub struct PreparedStore {
     inner: Mutex<PreparedInner>,
@@ -546,13 +495,29 @@ impl PreparedStore {
         &self.obs
     }
 
-    /// Clears the store unless it was built for `base_index`'s graph.
-    pub fn rebase(&self, base_index: &Arc<dlperf_graph::GraphIndex>) {
+    /// Clears the store unless it was built for `base_index`'s graph;
+    /// returns whether it was cleared (re-bound to a new base).
+    pub fn rebase(&self, base_index: &Arc<dlperf_graph::GraphIndex>) -> bool {
         let mut inner = self.inner.lock().expect("prepared store poisoned");
-        if inner.base.as_ref().is_none_or(|a| !Arc::ptr_eq(a, base_index)) {
+        let changed = inner.base.as_ref().is_none_or(|a| !Arc::ptr_eq(a, base_index));
+        if changed {
             inner.base = Some(base_index.clone());
             inner.graphs.clear();
-            inner.baselines.clear();
+        }
+        changed
+    }
+
+    /// The prepared graph for `mutations` of `base`: the stored one when
+    /// present, otherwise prepared now (outside the lock) and stored. The
+    /// store must be bound to `base` ([`PreparedStore::rebase`]).
+    pub fn get_or_prepare(
+        &self,
+        base: &Graph,
+        mutations: &[GraphMutation],
+    ) -> Arc<Result<Graph, MutationError>> {
+        match self.get(mutations) {
+            Some(g) => g,
+            None => self.insert(mutations.to_vec(), Arc::new(prepare_graph(base, mutations))),
         }
     }
 
@@ -602,39 +567,15 @@ impl PreparedStore {
         graph
     }
 
-    /// The incremental baseline checkpointed for `device`, if any.
-    pub fn baseline(&self, device: usize) -> Option<Arc<IncrementalPredictor>> {
-        self.inner.lock().expect("prepared store poisoned").baselines.get(&device).cloned()
-    }
-
-    /// Stores the incremental baseline for `device`.
-    pub fn insert_baseline(&self, device: usize, baseline: Arc<IncrementalPredictor>) {
-        self.inner
-            .lock()
-            .expect("prepared store poisoned")
-            .baselines
-            .insert(device, baseline);
-    }
-
     /// Current counters and occupancy.
     pub fn stats(&self) -> PreparedStoreStats {
         let inner = self.inner.lock().expect("prepared store poisoned");
         PreparedStoreStats {
             graphs: inner.graphs.len(),
-            baselines: inner.baselines.len(),
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
         }
-    }
-
-    /// Drops everything (base binding included) and zeroes the counters.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
-        *inner = PreparedInner::default();
-        self.hits.reset();
-        self.misses.reset();
-        self.evictions.reset();
     }
 }
 
@@ -646,99 +587,35 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 20;
 
 /// The parallel what-if sweep engine. See the module docs.
 pub struct SweepEngine {
-    pipelines: Vec<Pipeline>,
-    caches: Vec<Arc<MemoCache>>,
-    prepared: Arc<PreparedStore>,
+    /// Prices every scenario; owns the pipelines, caches, prepared graphs,
+    /// baselines and the scratch pool. The pool persists across runs,
+    /// which is what makes *steady-state* sweeps (the serve workload: same
+    /// engine, run after run) allocation-free on the pricing hot path —
+    /// capacity grown in run N serves run N+1.
+    eval: Evaluator<'static>,
     threads: usize,
-    use_cache: bool,
-    use_incremental: bool,
     token: CancellationToken,
     /// Scenarios evaluated per supervised checkpoint step.
     chunk: usize,
-    /// Parked [`WalkScratch`]es, checked out one per worker for the span
-    /// of a `par_map_with` and returned on worker exit. Persisting the
-    /// pool across runs is what makes *steady-state* sweeps (the serve
-    /// workload: same engine, run after run) allocation-free on the
-    /// pricing hot path — capacity grown in run N serves run N+1.
-    scratch_pool: Mutex<Vec<WalkScratch>>,
-}
-
-/// A [`WalkScratch`] checked out of an engine's pool, returned on drop so
-/// worker panics and early exits cannot leak grown capacity.
-pub(crate) struct PooledScratch<'a> {
-    pool: &'a Mutex<Vec<WalkScratch>>,
-    scratch: Option<WalkScratch>,
-}
-
-impl<'a> PooledScratch<'a> {
-    pub(crate) fn checkout(pool: &'a Mutex<Vec<WalkScratch>>) -> Self {
-        let scratch = pool.lock().expect("scratch pool poisoned").pop().unwrap_or_default();
-        PooledScratch { pool, scratch: Some(scratch) }
-    }
-
-    pub(crate) fn get(&mut self) -> &mut WalkScratch {
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.push(s);
-            }
-        }
-    }
 }
 
 impl SweepEngine {
     /// Wraps calibrated pipelines (one per candidate device). Thread count
-    /// defaults to the machine's available parallelism; caching is on,
-    /// with each per-pipeline cache capped at [`DEFAULT_MEMO_CAPACITY`].
+    /// defaults to the machine's available parallelism; caching and the
+    /// incremental path are on, with each per-pipeline memo cache capped
+    /// at [`DEFAULT_MEMO_CAPACITY`].
     ///
     /// # Panics
     /// Panics if `pipelines` is empty.
     pub fn new(pipelines: Vec<Pipeline>) -> Self {
         assert!(!pipelines.is_empty(), "sweep engine needs at least one pipeline");
-        let caches = pipelines
-            .iter()
-            .map(|_| Arc::new(MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY)))
-            .collect();
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         SweepEngine {
-            pipelines,
-            caches,
-            prepared: Arc::new(PreparedStore::new()),
+            eval: Evaluator::new(Cow::Owned(pipelines)),
             threads,
-            use_cache: true,
-            use_incremental: true,
             token: CancellationToken::new(),
             chunk: 16,
-            scratch_pool: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Replaces the per-pipeline memo caches with capped ones (builder
-    /// style); see [`MemoCache::with_capacity`].
-    ///
-    /// # Panics
-    /// Panics if `capacity` is below the shard count (16).
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
-        self.caches =
-            self.pipelines.iter().map(|_| Arc::new(MemoCache::with_capacity(capacity))).collect();
-        self
-    }
-
-    /// Shares an externally owned prepared-graph store (builder style) —
-    /// e.g. one store serving both a sweep engine and a request server.
-    pub fn with_prepared_store(mut self, store: Arc<PreparedStore>) -> Self {
-        self.prepared = store;
-        self
-    }
-
-    /// The prepared-graph store this engine reads and fills.
-    pub fn prepared_store(&self) -> &Arc<PreparedStore> {
-        &self.prepared
     }
 
     /// Sets the worker-thread count (builder style). 1 = sequential.
@@ -763,18 +640,20 @@ impl SweepEngine {
     }
 
     /// Enables or disables the incremental fast path (builder style; on by
-    /// default). When on, cached runs checkpoint one baseline walk per
-    /// referenced device and price each scenario by dirty-frontier
-    /// re-prediction — bitwise identical to the full walk, so this toggle
-    /// changes speed and [`SweepOutcome::incremental`] accounting only.
+    /// default). When on, runs checkpoint one baseline walk per referenced
+    /// device and price each scenario by dirty-frontier re-prediction —
+    /// bitwise identical to the full walk, so this toggle changes speed
+    /// and [`SweepOutcome::incremental`] accounting only.
     pub fn with_incremental(mut self, on: bool) -> Self {
-        self.use_incremental = on;
+        self.eval.incremental = on;
         self
     }
 
-    /// Enables or disables the kernel-model memo caches (builder style).
+    /// Enables or disables caching (builder style; on by default): the
+    /// kernel-model memo caches and prepared-graph sharing. Off, every
+    /// scenario re-runs its transforms and prices every kernel afresh.
     pub fn with_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
+        self.eval.cache = on;
         self
     }
 
@@ -798,7 +677,7 @@ impl SweepEngine {
 
     /// The calibrated pipelines, indexable by `Scenario::device`.
     pub fn pipelines(&self) -> &[Pipeline] {
-        &self.pipelines
+        self.eval.pipelines()
     }
 
     /// The configured thread count.
@@ -813,108 +692,55 @@ impl SweepEngine {
     /// capacity. (`high_water_f64s` and `pooled` are summed across
     /// scratches.)
     pub fn scratch_stats(&self) -> ArenaStats {
-        let pool = self.scratch_pool.lock().expect("scratch pool poisoned");
-        let mut agg = ArenaStats::default();
-        for s in pool.iter() {
-            let st = s.arena_stats();
-            agg.takes += st.takes;
-            agg.misses += st.misses;
-            agg.high_water_f64s += st.high_water_f64s;
-            agg.pooled += st.pooled;
-        }
-        agg
+        self.eval.scratch_stats()
     }
 
     /// Merged cache counters across all per-device caches.
     pub fn cache_stats(&self) -> MemoCacheStats {
-        let all: Vec<MemoCacheStats> = self.caches.iter().map(|c| c.stats()).collect();
-        MemoCacheStats::merged(&all)
+        self.eval.cache_stats()
     }
 
-    /// Clears all per-device caches (counters included) and the prepared
-    /// graph / baseline store.
-    pub fn clear_caches(&self) {
-        for c in &self.caches {
-            c.clear();
+    /// Binds the evaluator to `base` and checkpoints one baseline walk per
+    /// device the scenario list references (kept across runs on the same
+    /// base). A device whose base graph fails to lower gets no baseline;
+    /// its scenarios fall back to the full walk — same bits either way.
+    fn bind(&self, base: &Graph, scenarios: &[Scenario]) {
+        self.eval.rebase(base);
+        if !self.eval.incremental || self.token.is_cancelled() {
+            return;
         }
-        self.prepared.clear();
+        for d in 0..self.pipelines().len() {
+            if scenarios.iter().any(|s| s.device == d) {
+                let _ = self.eval.baseline(base, d);
+            }
+        }
     }
 
-    /// Prices one prepared graph on the scenario's pipeline, through the
-    /// scenario device's incremental baseline when one is supplied. The
-    /// returned stats are `Some` exactly when the incremental path served
-    /// the prediction (values are bitwise identical either way).
+    /// Prices one scenario through the evaluator. Failures (bad device
+    /// index, failed transform, lowering error) become the result's error
+    /// string rather than aborting the sweep. The stats are `Some` exactly
+    /// when the incremental path served the prediction.
     fn price(
         &self,
+        base: &Graph,
         s: &Scenario,
-        prepared: &Result<Graph, MutationError>,
-        baseline: Option<&IncrementalPredictor>,
         scratch: &mut WalkScratch,
     ) -> (ScenarioResult, Option<IncrementalStats>) {
         let _span =
             dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || format!("scenario:{}", s.label));
         let counters = sweep_counters();
         counters.scenarios.incr();
-        if s.device >= self.pipelines.len() {
-            counters.errors.incr();
-            return (
-                ScenarioResult {
-                    label: s.label.clone(),
-                    prediction: None,
-                    error: Some(format!(
-                        "device index {} out of range ({} pipelines)",
-                        s.device,
-                        self.pipelines.len()
-                    )),
-                },
-                None,
-            );
+        let label = s.label.clone();
+        match self.eval.price(base, s.device, &s.mutations, scratch) {
+            Ok(p) => {
+                let result = ScenarioResult { label, prediction: Some(p.prediction), error: None };
+                (result, p.incremental)
+            }
+            Err(e) => {
+                counters.errors.incr();
+                (ScenarioResult { label, prediction: None, error: Some(e) }, None)
+            }
         }
-        let g = match prepared {
-            Ok(g) => g,
-            Err(e) => {
-                counters.errors.incr();
-                return (
-                    ScenarioResult {
-                        label: s.label.clone(),
-                        prediction: None,
-                        error: Some(e.to_string()),
-                    },
-                    None,
-                )
-            }
-        };
-        let pipeline = &self.pipelines[s.device];
-        let mut stats = None;
-        let pred = if let Some(b) = baseline {
-            b.repredict_scratch(g, self.use_cache.then(|| &*self.caches[s.device]), scratch)
-                .map(|(p, st)| {
-                    stats = Some(st);
-                    p
-                })
-        } else if self.use_cache {
-            pipeline.predict_memoized_scratch(g, &self.caches[s.device], scratch)
-        } else {
-            pipeline.predict_scratch(g, scratch)
-        };
-        let result = match pred {
-            Ok(p) => ScenarioResult { label: s.label.clone(), prediction: Some(p), error: None },
-            Err(e) => {
-                counters.errors.incr();
-                ScenarioResult {
-                    label: s.label.clone(),
-                    prediction: None,
-                    error: Some(format!("lowering failed: {e}")),
-                }
-            }
-        };
-        (result, stats)
-    }
-
-    /// Prices one scenario end to end (transform + predict) — the shared
-    /// pure function of the naive (cache-off) and supervised paths.
-    fn eval(&self, base: &Graph, s: &Scenario, scratch: &mut WalkScratch) -> ScenarioResult {
-        self.price(s, &prepare_graph(base, &s.mutations), None, scratch).0
     }
 
     /// Runs the sweep on the configured thread count.
@@ -931,117 +757,22 @@ impl SweepEngine {
         let _span = dlperf_obs::span("sweep.run", dlperf_obs::SpanKind::Phase);
         sweep_counters().runs.incr();
         let start = Instant::now();
+        self.bind(base, scenarios);
+        // Each worker reuses one pooled scratch across all the scenarios
+        // it claims.
+        let priced = par_map_with(
+            threads,
+            &self.token,
+            scenarios,
+            || self.eval.scratch(),
+            |scratch, _, s| self.price(base, s, scratch.get()),
+        );
         let mut summary = IncrementalSummary::default();
-        let results: Vec<Option<ScenarioResult>> = if self.use_cache {
-            // Phase 1: prepare each distinct mutation list once, in
-            // parallel — scenarios differing only in device share the
-            // transformed graph, and lists already prepared by an earlier
-            // run on this base are taken from the store as-is (their
-            // cached graph index rides along, so re-sweeps also skip the
-            // signature pass).
-            let mut unique: Vec<&[GraphMutation]> = Vec::new();
-            let mut index: HashMap<&[GraphMutation], usize> = HashMap::new();
-            for s in scenarios {
-                index.entry(s.mutations.as_slice()).or_insert_with(|| {
-                    unique.push(s.mutations.as_slice());
-                    unique.len() - 1
-                });
-            }
-            let base_index = base.index();
-            self.prepared.rebase(&base_index);
-            let stored: Vec<Option<Arc<Result<Graph, MutationError>>>> =
-                unique.iter().map(|muts| self.prepared.get(muts)).collect();
-            let missing: Vec<&[GraphMutation]> = unique
-                .iter()
-                .zip(&stored)
-                .filter(|(_, s)| s.is_none())
-                .map(|(m, _)| *m)
-                .collect();
-            let fresh = par_map(threads, &self.token, &missing, |_, muts| {
-                Arc::new(prepare_graph(base, muts))
-            });
-            // A `None` prepared slot means cancellation hit phase 1; the
-            // dependent scenarios stay unvisited (`None`), matching what a
-            // cancelled sequential run leaves behind. The `Arc` clones held
-            // here keep this run's graphs alive even if a capped store
-            // evicts them mid-run.
-            let mut fresh_iter = fresh.into_iter();
-            let prepared: Vec<Option<Arc<Result<Graph, MutationError>>>> = unique
-                .iter()
-                .zip(stored)
-                .map(|(muts, slot)| match slot {
-                    Some(g) => Some(g),
-                    None => {
-                        let g = fresh_iter.next().expect("one fresh slot per miss")?;
-                        Some(self.prepared.insert(muts.to_vec(), g))
-                    }
-                })
-                .collect();
-            // One checkpointed baseline walk per device the scenario list
-            // references (reused across runs); pricing then recomputes only
-            // each scenario's dirty frontier. Skipped when the incremental
-            // path is off or the base graph fails to lower (pricing falls
-            // back to the plain memoized walk — same bits either way).
-            let baselines: Vec<Option<Arc<IncrementalPredictor>>> = (0..self.pipelines.len())
-                .map(|d| {
-                    if !(self.use_incremental
-                        && !self.token.is_cancelled()
-                        && scenarios.iter().any(|s| s.device == d))
-                    {
-                        return None;
-                    }
-                    if let Some(b) = self.prepared.baseline(d) {
-                        return Some(b);
-                    }
-                    let b = IncrementalPredictor::with_cache(
-                        self.pipelines[d].predictor().clone(),
-                        base.clone(),
-                        &self.caches[d],
-                    )
-                    .ok()
-                    .map(Arc::new)?;
-                    self.prepared.insert_baseline(d, b.clone());
-                    Some(b)
-                })
-                .collect();
-            // Phase 2: price every scenario against its prepared graph,
-            // each worker reusing one pooled scratch across all the
-            // scenarios it claims.
-            let priced: Vec<Option<(ScenarioResult, Option<IncrementalStats>)>> =
-                par_map_with(
-                    threads,
-                    &self.token,
-                    scenarios,
-                    || PooledScratch::checkout(&self.scratch_pool),
-                    |scratch, _, s| {
-                        prepared[index[s.mutations.as_slice()]].as_ref().map(|graph| {
-                            self.price(
-                                s,
-                                graph,
-                                baselines.get(s.device).and_then(|b| b.as_deref()),
-                                scratch.get(),
-                            )
-                        })
-                    },
-                )
-                .into_iter()
-                .map(Option::flatten)
-                .collect();
-            for slot in &priced {
-                if let Some((_, Some(stats))) = slot {
-                    summary.absorb(stats);
-                }
-            }
-            priced.into_iter().map(|slot| slot.map(|(result, _)| result)).collect()
-        } else {
-            par_map_with(
-                threads,
-                &self.token,
-                scenarios,
-                || PooledScratch::checkout(&self.scratch_pool),
-                |scratch, _, s| self.eval(base, s, scratch.get()),
-            )
-        };
+        for stats in priced.iter().flatten().filter_map(|(_, stats)| stats.as_ref()) {
+            summary.absorb(stats);
+        }
+        let results: Vec<Option<ScenarioResult>> =
+            priced.into_iter().map(|slot| slot.map(|(result, _)| result)).collect();
         let cancelled = results.iter().any(|r| r.is_none());
         if cancelled {
             sweep_counters().cancelled.incr();
@@ -1051,7 +782,7 @@ impl SweepEngine {
             cancelled,
             threads,
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            cache: self.use_cache.then(|| self.cache_stats()),
+            cache: self.eval.cache.then(|| self.cache_stats()),
             incremental: (summary.scenarios > 0).then_some(summary),
         }
     }
@@ -1067,6 +798,7 @@ impl SweepEngine {
         scenarios: &[Scenario],
         supervisor: &mut Supervisor,
     ) -> (Result<Vec<ScenarioResult>, SupervisorError>, RunReport) {
+        self.bind(base, scenarios);
         let job = SweepJob { engine: self, base, scenarios };
         let (result, report) = supervisor.run(&job);
         (result.map(|state| state.results), report)
@@ -1076,9 +808,9 @@ impl SweepEngine {
 impl std::fmt::Debug for SweepEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepEngine")
-            .field("pipelines", &self.pipelines.len())
+            .field("pipelines", &self.pipelines().len())
             .field("threads", &self.threads)
-            .field("use_cache", &self.use_cache)
+            .field("use_cache", &self.eval.cache)
             .field("chunk", &self.chunk)
             .finish()
     }
@@ -1120,8 +852,8 @@ impl ResumableJob for SweepJob<'_> {
             self.engine.threads,
             &self.engine.token,
             chunk,
-            || PooledScratch::checkout(&self.engine.scratch_pool),
-            |scratch, _, s| self.engine.eval(self.base, s, scratch.get()),
+            || self.engine.eval.scratch(),
+            |scratch, _, s| self.engine.price(self.base, s, scratch.get()).0,
         );
         for r in results {
             match r {
@@ -1185,31 +917,9 @@ mod tests {
         assert_eq!(scenarios[0].label, "V100/b128/base");
         assert_eq!(scenarios[7].label, "P100/b256/hoisted");
         assert_eq!(scenarios, m.build(), "enumeration is deterministic");
-        // No strategy axis → no tag, and serialized cells carry no key at
-        // all, so pre-axis sweep JSON round-trips unchanged.
-        assert!(scenarios.iter().all(|s| s.strategy.is_none()));
         let json = serde_json::to_string(&scenarios[0]).unwrap();
-        assert!(!json.contains("strategy"), "{json}");
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, scenarios[0]);
-    }
-
-    #[test]
-    fn strategy_axis_tags_cells_and_extends_labels() {
-        let m = ScenarioMatrix::new()
-            .device("V100", 0)
-            .batches(&[128])
-            .strategies(&["hybrid", "dp"]);
-        let scenarios = m.build();
-        assert_eq!(scenarios.len(), 2);
-        assert_eq!(scenarios[0].label, "V100/b128/base/hybrid");
-        assert_eq!(scenarios[1].label, "V100/b128/base/dp");
-        assert_eq!(scenarios[1].strategy.as_deref(), Some("dp"));
-        // The tag is pass-through on this engine: identical pricing.
-        let (eng, g) = engine();
-        let out = eng.run_sequential(&g, &scenarios);
-        let b = bits(&out);
-        assert_eq!(b[0].1, b[1].1, "strategy tag must not change single-GPU pricing");
     }
 
     #[test]

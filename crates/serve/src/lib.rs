@@ -14,9 +14,9 @@
 //!   propagation into the prediction walk, a circuit breaker that
 //!   degrades to roofline answers, per-request panic isolation, and
 //!   worker self-healing;
-//! * [`recommend`] (served as `Op::Recommend`) — the objective-driven
+//! * `recommend` (served as `Op::Recommend`) — the objective-driven
 //!   configuration recommender;
-//! * [`optimize`] (served as `Op::Optimize`) — the unified
+//! * `optimize` (served as `Op::Optimize`) — the unified
 //!   [`dlperf_core::OptimizationSearch`] behind the wire protocol: ranked
 //!   graph-rewrite / batch / device optimizations with predicted deltas
 //!   and confidence bands.

@@ -44,32 +44,12 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         );
     }
 
-    // Resolve the device axis exactly like the recommender: canonical
-    // names, set-dedup in first-occurrence order so aliases and repeats
-    // never widen the axis.
-    let requested_devices = q.devices.as_deref().unwrap_or_default();
-    let device_names: Vec<String> = if requested_devices.is_empty() {
-        let mut names: Vec<String> = shared.engines.keys().cloned().collect();
-        names.sort();
-        names
-    } else {
-        let mut names = Vec::new();
-        for d in requested_devices {
-            match shared.engine(d) {
-                Some(e) => names.push(e.pipeline.device().name.clone()),
-                None => {
-                    return Body::error(ErrorCode::NotFound, format!("unknown device `{d}`"));
-                }
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        names.retain(|n| seen.insert(n.clone()));
-        names
+    // The same device axis as the recommender: aliases and repeats never
+    // widen it.
+    let pipelines: Vec<Pipeline> = match shared.devices(q.devices.as_deref().unwrap_or_default()) {
+        Ok(engines) => engines.iter().map(|e| e.pipeline.clone()).collect(),
+        Err(unknown) => return Body::error(ErrorCode::NotFound, unknown),
     };
-    let pipelines: Vec<Pipeline> = device_names
-        .iter()
-        .map(|n| shared.engine(n).expect("resolved above").pipeline.clone())
-        .collect();
 
     let graph = entry.graph(q.batch);
     let base = match graph.as_ref() {

@@ -8,6 +8,7 @@
 //! as the predictions it is built from.
 
 use dlperf_core::predictor::PredictError;
+use dlperf_core::WalkScratch;
 use dlperf_distrib::{enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy};
 use dlperf_graph::memory;
 use dlperf_models::zoo;
@@ -28,25 +29,9 @@ pub(crate) fn run(shared: &Shared, q: &RecommendQuery, token: &CancellationToken
     let Some(entry) = shared.models.get(&q.model) else {
         return Body::error(ErrorCode::NotFound, format!("unknown model `{}`", q.model));
     };
-    let device_names: Vec<String> = if q.devices.is_empty() {
-        let mut names: Vec<String> = shared.engines.keys().cloned().collect();
-        names.sort();
-        names
-    } else {
-        let mut names = Vec::new();
-        for d in &q.devices {
-            match shared.engine(d) {
-                Some(e) => names.push(e.pipeline.device().name.clone()),
-                None => {
-                    return Body::error(ErrorCode::NotFound, format!("unknown device `{d}`"));
-                }
-            }
-        }
-        // Set-dedup in first-occurrence order: aliases of one device, or
-        // non-adjacent repeats, must not be priced (and ranked) twice.
-        let mut seen = std::collections::HashSet::new();
-        names.retain(|n| seen.insert(n.clone()));
-        names
+    let engines = match shared.devices(&q.devices) {
+        Ok(engines) => engines,
+        Err(unknown) => return Body::error(ErrorCode::NotFound, unknown),
     };
     let batches: &[u64] = if q.batches.is_empty() { &DEFAULT_BATCHES } else { &q.batches };
 
@@ -80,9 +65,9 @@ pub(crate) fn run(shared: &Shared, q: &RecommendQuery, token: &CancellationToken
     let mut ranked: Vec<ConfigChoice> = Vec::new();
     let mut rejected: Vec<RejectedConfig> = Vec::new();
 
-    for device_name in &device_names {
-        let engine = shared.engine(device_name).expect("resolved above");
+    for engine in engines {
         let device = engine.pipeline.device().clone();
+        let device_name = &device.name;
         for &batch in batches {
             if token.is_cancelled() {
                 return Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-search");
@@ -120,7 +105,8 @@ pub(crate) fn run(shared: &Shared, q: &RecommendQuery, token: &CancellationToken
                 });
                 continue;
             }
-            match engine.pipeline.predict_memoized_cancellable(g, &engine.cache, token) {
+            let scratch = &mut WalkScratch::new();
+            match engine.pipeline.predictor().walk(g, Some(&engine.cache), Some(token), scratch) {
                 Ok(p) => {
                     push_candidate(
                         &mut ranked,

@@ -24,7 +24,7 @@
 //! merely diverse request stream evicts, never grows.
 //!
 //! Determinism contract: an admitted, non-degraded answer is bitwise
-//! identical to [`Pipeline::predict_memoized`] run offline on the same
+//! identical to `Pipeline::predict_memoized` run offline on the same
 //! prepared graph — admission, deadlines, eviction, and fault injection
 //! change *whether and when* a request is answered, never *what value* an
 //! answered request carries.
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlperf_core::pipeline::Pipeline;
 use dlperf_core::predictor::PredictError;
-use dlperf_core::{prepare_graph, GraphMutation, PreparedStore};
+use dlperf_core::{GraphMutation, PreparedStore, WalkScratch};
 use dlperf_faults::{site_key, FaultInjector, FaultPlan, WorkerFault};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::Graph;
@@ -153,12 +153,7 @@ impl ModelEntry {
     /// a pure function of `(base, batch)`, so cache hits, misses, and
     /// evictions cannot change the value.
     pub(crate) fn graph(&self, batch: u64) -> Arc<Result<Graph, dlperf_core::MutationError>> {
-        let muts = vec![GraphMutation::ResizeBatch(batch)];
-        if let Some(g) = self.prepared.get(&muts) {
-            return g;
-        }
-        let built = Arc::new(prepare_graph(&self.base, &muts));
-        self.prepared.insert(muts, built)
+        self.prepared.get_or_prepare(&self.base, &[GraphMutation::ResizeBatch(batch)])
     }
 }
 
@@ -454,6 +449,29 @@ impl Shared {
             self.engines.get(&canonical.name)
         })
     }
+
+    /// A request's device axis: every served device in name order when
+    /// `requested` is empty, otherwise each name canonicalized through
+    /// [`Shared::engine`] and set-deduplicated in first-occurrence order,
+    /// so aliases and repeats never price (or rank) one device twice.
+    ///
+    /// # Errors
+    /// A message naming the first unknown device (a `404` for callers).
+    pub(crate) fn devices(&self, requested: &[String]) -> Result<Vec<&Engine>, String> {
+        if requested.is_empty() {
+            let mut all: Vec<&Engine> = self.engines.values().collect();
+            all.sort_by(|a, b| a.pipeline.device().name.cmp(&b.pipeline.device().name));
+            return Ok(all);
+        }
+        let mut axis: Vec<&Engine> = Vec::new();
+        for d in requested {
+            let engine = self.engine(d).ok_or_else(|| format!("unknown device `{d}`"))?;
+            if !axis.iter().any(|e| std::ptr::eq(*e, engine)) {
+                axis.push(engine);
+            }
+        }
+        Ok(axis)
+    }
 }
 
 /// How a routed request left the worker.
@@ -627,10 +645,11 @@ fn route_predict(shared: &Arc<Shared>, q: &PredictQuery, token: &CancellationTok
                 shared.rejected.incr();
                 Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"))
             }
-            Ok(g) => match engine.degraded.predict_memoized_cancellable(
+            Ok(g) => match engine.degraded.predictor().walk(
                 g,
-                &engine.degraded_cache,
-                token,
+                Some(&engine.degraded_cache),
+                Some(token),
+                &mut WalkScratch::new(),
             ) {
                 Ok(p) => {
                     shared.degraded_answers.incr();
@@ -681,7 +700,12 @@ fn route_predict(shared: &Arc<Shared>, q: &PredictQuery, token: &CancellationTok
             shared.rejected.incr();
             Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"))
         }
-        Ok(g) => match engine.pipeline.predict_memoized_cancellable(g, &engine.cache, token) {
+        Ok(g) => match engine.pipeline.predictor().walk(
+            g,
+            Some(&engine.cache),
+            Some(token),
+            &mut WalkScratch::new(),
+        ) {
             Ok(p) => {
                 shared.breaker.record_success();
                 let confidence = if p.is_fully_calibrated() { "calibrated" } else { "degraded" };

@@ -19,7 +19,7 @@ use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::search::{
     GraphMoves, NoExtra, OptimizationReport, OptimizationSearch, SearchConfig,
 };
-use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
+use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation, Scenario, SweepEngine};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;
 use dlrm_perf_model::kernels::CalibrationEffort;
@@ -123,6 +123,37 @@ fn planted_fusion_ranks_first_with_bitwise_exact_delta() {
         report.incremental_evals,
         report.incremental_evals + report.full_evals
     );
+}
+
+#[test]
+fn sweep_and_search_price_a_candidate_to_the_same_bits() {
+    // The sweep engine and the search price through one evaluator: the
+    // same (device, mutations) must get the same bits from both.
+    let (pipelines, g) = base();
+    let report = run_search(
+        SearchConfig { max_depth: 2, top_k: 100, ..SearchConfig::default() },
+        vec![256],
+    );
+    let scenarios: Vec<Scenario> = report
+        .ranked
+        .iter()
+        .map(|sc| Scenario {
+            label: sc.description.clone(),
+            device: sc.candidate.device,
+            mutations: sc.candidate.mutations.clone(),
+        })
+        .collect();
+    assert!(scenarios.iter().any(|s| s.device != 0), "device axis exercised");
+    assert!(scenarios.iter().any(|s| s.mutations.len() == 2), "composed moves exercised");
+    let swept = SweepEngine::new(pipelines.clone()).run(g, &scenarios);
+    for (sc, r) in report.ranked.iter().zip(swept.expect_complete()) {
+        assert_eq!(
+            r.expect_prediction().e2e_us.to_bits(),
+            sc.e2e_us.to_bits(),
+            "{}",
+            sc.description
+        );
+    }
 }
 
 /// Non-empty subsets of the resize-target axis, driven by a bit mask.
