@@ -15,9 +15,10 @@
 //!
 //! Every piece of reuse is invisible in the bits: a memo hit equals a
 //! model evaluation, preparation is a pure function of `(base,
-//! mutations)`, and incremental re-prediction equals a full walk. With
-//! `cache` and `incremental` both off, a price is a fresh preparation
-//! plus an uncached walk — the bitwise reference path.
+//! mutations)`, and incremental re-prediction equals a full walk. A
+//! *fresh* price skips the store and the baselines — a new transform
+//! plus a full walk, uncached when `cache` is off — and is the bitwise
+//! reference the reuse is checked against.
 //!
 //! [`SweepEngine`]: crate::sweep::SweepEngine
 //! [`OptimizationSearch`]: crate::search::OptimizationSearch
@@ -42,7 +43,8 @@ pub(crate) type PreparedGraph = Arc<Result<Graph, MutationError>>;
 
 /// One priced what-if.
 pub(crate) struct Priced {
-    /// The candidate's prepared graph (shared with the store when caching).
+    /// The candidate's prepared graph (shared with the store unless the
+    /// price was fresh).
     pub(crate) graph: PreparedGraph,
     /// Its prediction, bitwise identical to a full walk of `graph`.
     pub(crate) prediction: Prediction,
@@ -58,10 +60,10 @@ pub(crate) struct Evaluator<'a> {
     prepared: PreparedStore,
     baselines: Mutex<Vec<Option<Arc<IncrementalPredictor>>>>,
     pool: Mutex<Vec<WalkScratch>>,
-    /// Answer kernel queries from the memo caches and share prepared
-    /// graphs through the store.
+    /// Answer kernel queries from the per-device memo caches.
     pub(crate) cache: bool,
-    /// Price through a device's baseline when one has been built.
+    /// Price shared (non-fresh) what-ifs through a device's baseline when
+    /// one has been built.
     pub(crate) incremental: bool,
 }
 
@@ -94,14 +96,10 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The prepared graph for `mutations`: from the store when caching,
-    /// freshly transformed otherwise.
+    /// The prepared graph for `mutations`, transformed on first request
+    /// and shared from the store afterwards.
     pub(crate) fn graph(&self, base: &Graph, mutations: &[GraphMutation]) -> PreparedGraph {
-        if self.cache {
-            self.prepared.get_or_prepare(base, mutations)
-        } else {
-            Arc::new(prepare_graph(base, mutations))
-        }
+        self.prepared.get_or_prepare(base, mutations)
     }
 
     /// The checkpointed baseline walk of `base` on `device`, built on first
@@ -127,9 +125,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Prices `mutations` of `base` on `device` — the one pricing call.
-    /// Goes through the device's baseline when incremental re-prediction
-    /// is on and one was built, through a full walk otherwise; the bits are
-    /// the same either way.
+    ///
+    /// A shared price takes the graph from the store and goes through the
+    /// device's baseline when incremental re-prediction is on and one was
+    /// built. A `fresh` price transforms `base` anew and walks the whole
+    /// graph. The bits are the same either way.
     ///
     /// # Errors
     /// A rendered reason when the device is out of range, a mutation fails
@@ -139,6 +139,7 @@ impl<'a> Evaluator<'a> {
         base: &Graph,
         device: usize,
         mutations: &[GraphMutation],
+        fresh: bool,
         scratch: &mut WalkScratch,
     ) -> Result<Priced, String> {
         let Some(pipeline) = self.pipelines.get(device) else {
@@ -147,14 +148,18 @@ impl<'a> Evaluator<'a> {
                 self.pipelines.len()
             ));
         };
-        let graph = self.graph(base, mutations);
+        let (graph, baseline) = if fresh {
+            (Arc::new(prepare_graph(base, mutations)), None)
+        } else {
+            let baseline = if self.incremental {
+                self.baselines.lock().expect("baselines poisoned")[device].clone()
+            } else {
+                None
+            };
+            (self.graph(base, mutations), baseline)
+        };
         let g = graph.as_ref().as_ref().map_err(|e| e.to_string())?;
         let cache = self.memo(device);
-        let baseline = if self.incremental {
-            self.baselines.lock().expect("baselines poisoned")[device].clone()
-        } else {
-            None
-        };
         let (prediction, incremental) = match baseline {
             Some(b) => b.repredict_scratch(g, cache, scratch).map(|(p, s)| (p, Some(s))),
             None => uncancelled(pipeline.predictor().walk(g, cache, None, scratch))

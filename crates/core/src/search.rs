@@ -231,8 +231,7 @@ pub struct SearchConfig {
     pub top_k: usize,
     /// Worker threads for beam expansion (1 = the bitwise reference path).
     pub threads: usize,
-    /// Whether kernel-model queries go through per-device memo caches and
-    /// candidates with equal mutation lists share one prepared graph.
+    /// Whether kernel-model queries go through per-device memo caches.
     pub use_cache: bool,
     /// Branch-and-bound slack: a candidate predicted slower than the
     /// incumbent best by more than this fraction is pruned (not expanded
@@ -526,7 +525,7 @@ where
                             return Err(format!("no scorer for extra axis move `{x}`"));
                         }
                         (None, _) => {
-                            let p = eval.price(base, cand.device, &cand.mutations, scratch.get())?;
+                            let p = eval.price(base, cand.device, &cand.mutations, false, scratch.get())?;
                             let incremental = p.incremental.is_some_and(|s| !s.full_fallback);
                             (p.prediction.e2e_us, incremental, p.graph)
                         }

@@ -18,7 +18,10 @@
 //! dirty frontier against a per-device baseline walk. All of it persists
 //! across runs of the same engine on the same base graph (detected by
 //! graph-index identity), so steady-state re-sweeps skip the transform,
-//! the structural signature pass and the baseline walks entirely.
+//! the structural signature pass and the baseline walks entirely. With
+//! caching off, and in supervised runs, each scenario is instead a fresh
+//! transform plus a full walk — the reference all that reuse is checked
+//! against.
 //!
 //! **Determinism contract:** every scenario evaluation is a pure function
 //! of `(pipeline, base graph, scenario)`; results are written to the slot
@@ -640,18 +643,19 @@ impl SweepEngine {
     }
 
     /// Enables or disables the incremental fast path (builder style; on by
-    /// default). When on, runs checkpoint one baseline walk per referenced
-    /// device and price each scenario by dirty-frontier re-prediction —
-    /// bitwise identical to the full walk, so this toggle changes speed
-    /// and [`SweepOutcome::incremental`] accounting only.
+    /// default). When on, cached runs checkpoint one baseline walk per
+    /// referenced device and price each scenario by dirty-frontier
+    /// re-prediction — bitwise identical to the full walk, so this toggle
+    /// changes speed and [`SweepOutcome::incremental`] accounting only.
     pub fn with_incremental(mut self, on: bool) -> Self {
         self.eval.incremental = on;
         self
     }
 
     /// Enables or disables caching (builder style; on by default): the
-    /// kernel-model memo caches and prepared-graph sharing. Off, every
-    /// scenario re-runs its transforms and prices every kernel afresh.
+    /// kernel-model memo caches, prepared-graph sharing and the incremental
+    /// path. Off, every scenario re-runs its transforms and walks the whole
+    /// graph with every kernel priced afresh — the bitwise reference.
     pub fn with_cache(mut self, on: bool) -> Self {
         self.eval.cache = on;
         self
@@ -700,10 +704,11 @@ impl SweepEngine {
         self.eval.cache_stats()
     }
 
-    /// Binds the evaluator to `base` and checkpoints one baseline walk per
-    /// device the scenario list references (kept across runs on the same
-    /// base). A device whose base graph fails to lower gets no baseline;
-    /// its scenarios fall back to the full walk — same bits either way.
+    /// Binds the evaluator to `base` and, when the incremental path is on,
+    /// checkpoints one baseline walk per device the scenario list
+    /// references (kept across runs on the same base). A device whose base
+    /// graph fails to lower gets no baseline; its scenarios fall back to
+    /// the full walk — same bits either way.
     fn bind(&self, base: &Graph, scenarios: &[Scenario]) {
         self.eval.rebase(base);
         if !self.eval.incremental || self.token.is_cancelled() {
@@ -716,14 +721,16 @@ impl SweepEngine {
         }
     }
 
-    /// Prices one scenario through the evaluator. Failures (bad device
-    /// index, failed transform, lowering error) become the result's error
-    /// string rather than aborting the sweep. The stats are `Some` exactly
-    /// when the incremental path served the prediction.
+    /// Prices one scenario through the evaluator — `fresh` for the
+    /// cache-off and supervised paths, shared otherwise. Failures (bad
+    /// device index, failed transform, lowering error) become the result's
+    /// error string rather than aborting the sweep. The stats are `Some`
+    /// exactly when the incremental path served the prediction.
     fn price(
         &self,
         base: &Graph,
         s: &Scenario,
+        fresh: bool,
         scratch: &mut WalkScratch,
     ) -> (ScenarioResult, Option<IncrementalStats>) {
         let _span =
@@ -731,7 +738,7 @@ impl SweepEngine {
         let counters = sweep_counters();
         counters.scenarios.incr();
         let label = s.label.clone();
-        match self.eval.price(base, s.device, &s.mutations, scratch) {
+        match self.eval.price(base, s.device, &s.mutations, fresh, scratch) {
             Ok(p) => {
                 let result = ScenarioResult { label, prediction: Some(p.prediction), error: None };
                 (result, p.incremental)
@@ -757,7 +764,12 @@ impl SweepEngine {
         let _span = dlperf_obs::span("sweep.run", dlperf_obs::SpanKind::Phase);
         sweep_counters().runs.incr();
         let start = Instant::now();
-        self.bind(base, scenarios);
+        // Cached runs share prepared graphs and baselines; cache-off runs
+        // price every scenario fresh.
+        let fresh = !self.eval.cache;
+        if !fresh {
+            self.bind(base, scenarios);
+        }
         // Each worker reuses one pooled scratch across all the scenarios
         // it claims.
         let priced = par_map_with(
@@ -765,7 +777,7 @@ impl SweepEngine {
             &self.token,
             scenarios,
             || self.eval.scratch(),
-            |scratch, _, s| self.price(base, s, scratch.get()),
+            |scratch, _, s| self.price(base, s, fresh, scratch.get()),
         );
         let mut summary = IncrementalSummary::default();
         for stats in priced.iter().flatten().filter_map(|(_, stats)| stats.as_ref()) {
@@ -791,14 +803,14 @@ impl SweepEngine {
     /// chunks of [`SweepEngine::with_chunk`] size, each chunk one
     /// checkpointable step, so a killed sweep resumes from its last
     /// snapshot and still produces bitwise-identical results (every
-    /// evaluation is a pure function; see the module docs).
+    /// evaluation is a fresh transform plus a full walk, a pure function;
+    /// see the module docs).
     pub fn run_supervised(
         &self,
         base: &Graph,
         scenarios: &[Scenario],
         supervisor: &mut Supervisor,
     ) -> (Result<Vec<ScenarioResult>, SupervisorError>, RunReport) {
-        self.bind(base, scenarios);
         let job = SweepJob { engine: self, base, scenarios };
         let (result, report) = supervisor.run(&job);
         (result.map(|state| state.results), report)
@@ -853,7 +865,7 @@ impl ResumableJob for SweepJob<'_> {
             &self.engine.token,
             chunk,
             || self.engine.eval.scratch(),
-            |scratch, _, s| self.engine.price(self.base, s, scratch.get()).0,
+            |scratch, _, s| self.engine.price(self.base, s, true, scratch.get()).0,
         );
         for r in results {
             match r {
