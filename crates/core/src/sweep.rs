@@ -34,7 +34,7 @@
 //! pins that property.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -769,6 +769,16 @@ impl SweepEngine {
         let fresh = !self.eval.cache;
         if !fresh {
             self.bind(base, scenarios);
+            // Prepare each distinct mutation list once, in parallel,
+            // before pricing: one worker transforms each list, so a run's
+            // work does not depend on how the workers interleave.
+            let mut seen = HashSet::new();
+            let lists: Vec<&[GraphMutation]> = scenarios
+                .iter()
+                .map(|s| s.mutations.as_slice())
+                .filter(|m| seen.insert(*m))
+                .collect();
+            par_map(threads, &self.token, &lists, |_, m| drop(self.eval.graph(base, m)));
         }
         // Each worker reuses one pooled scratch across all the scenarios
         // it claims.
