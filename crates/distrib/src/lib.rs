@@ -46,7 +46,7 @@ pub use builder::{DistributedDlrm, ParallelismStrategy};
 pub use comms::{CollectiveEstimate, CommModel};
 pub use engine::{DistributedRunResult, MultiGpuEngine};
 pub use plan::ShardingPlan;
-pub use predictor::{DistributedPrediction, DistributedPredictor, SegmentBaselines};
+pub use predictor::{DistributedPrediction, DistributedPredictor};
 pub use search::{DistribAxis, DistribMove};
 pub use sweep::{
     enumerate_matrix, enumerate_plans, sweep_shardings, ShardingResult, ShardingScenario,

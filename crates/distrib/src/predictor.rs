@@ -3,17 +3,24 @@
 //!
 //! Like the single-GPU predictor it never executes anything — sharding
 //! plans, world sizes, and interconnects can be compared from graphs alone.
+//!
+//! Every job is priced by one rank × segment loop: `predict`,
+//! `predict_memoized`, and the crate-private job pricer that sharding
+//! sweeps and the search's multi-GPU axis share all end in it. Each
+//! segment is a plain (memoized) walk. There are no per-segment
+//! incremental baselines: across a sharding sweep, checkpointing them
+//! cost more than the splices saved (DESIGN.md §15).
 
 use dlperf_core::predictor::E2ePredictor;
-use dlperf_core::sweep::IncrementalSummary;
-use dlperf_core::IncrementalPredictor;
 use dlperf_faults::{FaultInjector, FaultPlan};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::lower::LowerError;
 use dlperf_kernels::MemoCache;
+use dlperf_models::DlrmConfig;
 
-use crate::builder::DistributedDlrm;
+use crate::builder::{DistributedDlrm, ParallelismStrategy};
 use crate::comms::CommModel;
+use crate::plan::ShardingPlan;
 use crate::topology::Topology;
 
 /// Predicted timeline of one distributed iteration.
@@ -82,10 +89,7 @@ impl DistributedPredictor {
 
     /// The topology `job`-sized collectives will be priced on.
     pub fn topology_for(&self, world: usize) -> Topology {
-        match &self.topology {
-            Some(t) if t.world() == world => t.clone(),
-            _ => Topology::for_device(&self.device, world),
-        }
+        resolve(self.topology.as_ref(), &self.device, world)
     }
 
     /// Predicts one distributed iteration of `job`.
@@ -93,7 +97,7 @@ impl DistributedPredictor {
     /// # Errors
     /// Propagates lowering errors from malformed segment graphs.
     pub fn predict(&self, job: &DistributedDlrm) -> Result<DistributedPrediction, LowerError> {
-        self.predict_inner(job, None)
+        self.predict_inner(job, None, self.topology_for(job.world()))
     }
 
     /// Like [`DistributedPredictor::predict`], answering kernel-model
@@ -110,54 +114,39 @@ impl DistributedPredictor {
         job: &DistributedDlrm,
         cache: &MemoCache,
     ) -> Result<DistributedPrediction, LowerError> {
-        self.predict_inner(job, Some(cache))
+        self.predict_inner(job, Some(cache), self.topology_for(job.world()))
     }
 
-    /// Like [`DistributedPredictor::predict_memoized`], but pricing each
-    /// segment by incremental re-prediction against `baselines` (one
-    /// checkpointed walk per segment slot). Data-parallel segments are
-    /// structurally identical across ranks and sharding plans, so they
-    /// splice to the baseline; the embedding-bearing segments recompute
-    /// only the shards that changed. Bitwise identical to the full paths
-    /// (see [`dlperf_core::incremental`]).
-    ///
-    /// # Errors
-    /// Propagates lowering errors from malformed segment graphs.
-    pub fn predict_incremental(
+    /// Builds the `(config, plan, strategy)` job and prices it through
+    /// `cache`, with collectives on `topology` (the predictor's own when
+    /// `None`) — the one pricing call behind sharding sweeps and the
+    /// search's multi-GPU axis. Errors are rendered for the caller's
+    /// report: `invalid plan: …` or `lowering failed: …`.
+    pub(crate) fn price(
         &self,
-        job: &DistributedDlrm,
-        baselines: &SegmentBaselines,
-        cache: Option<&MemoCache>,
-    ) -> Result<(DistributedPrediction, IncrementalSummary), LowerError> {
-        let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
-        let mut summary = IncrementalSummary::default();
-        let mut segment_us = [0.0f64; 4];
-        for rank in 0..job.world() {
-            for (i, seg) in job.segments(rank).iter().enumerate() {
-                let _seg_span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
-                    format!("segment:S{}/r{rank}", i + 1)
-                });
-                let p = match baselines.get(i) {
-                    Some(b) => {
-                        let (p, stats) = b.repredict(seg, cache)?;
-                        summary.absorb(&stats);
-                        p
-                    }
-                    None => match cache {
-                        Some(c) => self.predictor.predict_memoized(seg, c)?,
-                        None => self.predictor.predict(seg)?,
-                    },
-                };
-                segment_us[i] = segment_us[i].max(p.e2e_us);
-            }
-        }
-        Ok((self.assemble(job, segment_us), summary))
+        config: DlrmConfig,
+        plan: ShardingPlan,
+        strategy: ParallelismStrategy,
+        topology: Option<&Topology>,
+        cache: &MemoCache,
+    ) -> Result<DistributedPrediction, String> {
+        let job = DistributedDlrm::new(config, plan)
+            .map_err(|e| format!("invalid plan: {e}"))?
+            .with_strategy(strategy);
+        let topology = resolve(topology.or(self.topology.as_ref()), &self.device, job.world());
+        self.predict_inner(&job, Some(cache), topology).map_err(|e| format!("lowering failed: {e}"))
     }
 
+    /// The one rank × segment loop: Algorithm 1 per compute segment (max
+    /// over ranks), then the collective phases folded into the timeline.
+    /// Collectives are priced by the α–β model on `topology`; the
+    /// pipeline bubble inflates compute; the overlap window (if any)
+    /// hides each collective under a slice of the next segment.
     fn predict_inner(
         &self,
         job: &DistributedDlrm,
         cache: Option<&MemoCache>,
+        topology: Topology,
     ) -> Result<DistributedPrediction, LowerError> {
         let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
         let mut segment_us = [0.0f64; 4];
@@ -173,21 +162,11 @@ impl DistributedPredictor {
                 segment_us[i] = segment_us[i].max(p.e2e_us);
             }
         }
-        Ok(self.assemble(job, segment_us))
-    }
-
-    /// Adds the collective phases and folds the timeline — shared by the
-    /// full and incremental paths so they cannot diverge. Collectives are
-    /// priced by the α–β model on the resolved topology; the pipeline
-    /// bubble inflates compute; the overlap window (if any) hides each
-    /// collective under a slice of the next segment.
-    fn assemble(&self, job: &DistributedDlrm, segment_us: [f64; 4]) -> DistributedPrediction {
-        let model = CommModel::new(self.topology_for(job.world()));
         let inflation = job.compute_inflation();
-        let mut segment_us = segment_us;
         for s in &mut segment_us {
             *s *= inflation;
         }
+        let model = CommModel::new(topology);
         let mut comm_us = [0.0f64; 3];
         for (c, spec) in comm_us.iter_mut().zip(&job.collectives()) {
             *c = model.collective_time(spec);
@@ -198,13 +177,13 @@ impl DistributedPredictor {
                 overlap_hidden_us += c.min(self.overlap_frac * segment_us[i + 1]);
             }
         }
-        DistributedPrediction {
+        Ok(DistributedPrediction {
             e2e_us: segment_us.iter().sum::<f64>() + comm_us.iter().sum::<f64>()
                 - overlap_hidden_us,
             segment_us,
             comm_us,
             overlap_hidden_us,
-        }
+        })
     }
 
     /// Like [`DistributedPredictor::predict`], then deterministically
@@ -246,43 +225,12 @@ impl DistributedPredictor {
     }
 }
 
-/// Checkpointed [`IncrementalPredictor`] baselines, one per compute-segment
-/// slot (S1..S4), built from a reference job's rank-0 segments. Any other
-/// job of the same config family re-predicts its segments against these —
-/// a sharding sweep prices dozens of near-identical segment graphs, which
-/// is exactly the incremental predictor's sweet spot.
-#[derive(Debug, Clone)]
-pub struct SegmentBaselines {
-    baselines: Vec<Option<IncrementalPredictor>>,
-}
-
-impl SegmentBaselines {
-    /// Checkpoints one baseline walk per segment of `reference`'s rank 0,
-    /// feeding kernel queries through `cache` when given. A segment whose
-    /// baseline fails to lower simply gets no baseline (re-prediction of
-    /// that slot falls back to the full path).
-    pub fn new(
-        predictor: &DistributedPredictor,
-        reference: &DistributedDlrm,
-        cache: Option<&MemoCache>,
-    ) -> Self {
-        let baselines = reference
-            .segments(0)
-            .iter()
-            .map(|seg| {
-                let p = predictor.single_gpu().clone();
-                match cache {
-                    Some(c) => IncrementalPredictor::with_cache(p, seg.clone(), c).ok(),
-                    None => IncrementalPredictor::new(p, seg.clone()).ok(),
-                }
-            })
-            .collect();
-        SegmentBaselines { baselines }
-    }
-
-    /// The baseline for segment slot `i`, if one was checkpointed.
-    pub fn get(&self, i: usize) -> Option<&IncrementalPredictor> {
-        self.baselines.get(i).and_then(Option::as_ref)
+/// `pinned` when it spans `world` ranks, else the topology derived from
+/// `device`'s class.
+fn resolve(pinned: Option<&Topology>, device: &DeviceSpec, world: usize) -> Topology {
+    match pinned {
+        Some(t) if t.world() == world => t.clone(),
+        _ => Topology::for_device(device, world),
     }
 }
 
@@ -290,10 +238,8 @@ impl SegmentBaselines {
 mod tests {
     use super::*;
     use crate::engine::MultiGpuEngine;
-    use crate::plan::ShardingPlan;
     use dlperf_core::pipeline::Pipeline;
     use dlperf_kernels::CalibrationEffort;
-    use dlperf_models::DlrmConfig;
 
     fn setup(world: usize, batch: u64) -> (DistributedDlrm, DistributedPredictor) {
         let cfg = DlrmConfig::default_config(batch);
@@ -304,29 +250,6 @@ mod tests {
         let device = DeviceSpec::v100();
         let pipe = Pipeline::analyze(&device, &segs, CalibrationEffort::Quick, 12, 5);
         (job, DistributedPredictor::new(pipe.predictor().clone(), device))
-    }
-
-    #[test]
-    fn incremental_prediction_bitwise_matches_full() {
-        let (job, pred) = setup(4, 2048);
-        let cache = MemoCache::new();
-        let baselines = SegmentBaselines::new(&pred, &job, Some(&cache));
-        let cfg = DlrmConfig::default_config(2048);
-        let tables = cfg.rows_per_table.len();
-        let skewed =
-            DistributedDlrm::new(cfg, ShardingPlan::new(vec![0; tables], 4).unwrap()).unwrap();
-        for j in [&job, &skewed] {
-            let (inc, summary) = pred.predict_incremental(j, &baselines, Some(&cache)).unwrap();
-            let full = pred.predict(j).unwrap();
-            assert_eq!(inc.e2e_us.to_bits(), full.e2e_us.to_bits());
-            for (a, b) in inc.segment_us.iter().zip(&full.segment_us) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            assert!(summary.scenarios > 0);
-        }
-        // The reference job's own segments reconverge and splice.
-        let (_, summary) = pred.predict_incremental(&job, &baselines, Some(&cache)).unwrap();
-        assert!(summary.spliced > 0, "{summary:?}");
     }
 
     #[test]

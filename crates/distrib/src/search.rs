@@ -12,10 +12,11 @@
 //!   distributed candidate it emits single-table rebalances of the
 //!   current plan (capped, deterministic order) and strategy switches on
 //!   the same plan.
-//! * [`ExtraScorer`]: builds the [`DistributedDlrm`] job and prices it
-//!   with the collective-aware predictor, memoized through one shared
-//!   cache (hits are bitwise identical to misses, so caching is
-//!   invisible to the ranking — the same contract as everywhere else).
+//! * [`ExtraScorer`]: prices the `(batch, plan, strategy)` job through the
+//!   crate's one job pricer — the call every sharding-sweep cell makes —
+//!   memoized in the axis's own cache (hits are bitwise identical to
+//!   misses, so caching is invisible to the ranking — the same contract
+//!   as everywhere else).
 //!
 //! Only `ResizeBatch` graph mutations compose with this axis (the
 //! distributed job is rebuilt from its [`DlrmConfig`], so single-graph
@@ -23,14 +24,12 @@
 //! generator therefore only expands from candidates whose mutation list
 //! is batch-only, and the scorer rejects anything else defensively.
 
-use std::sync::Arc;
-
 use dlperf_core::{Candidate, ExtraScorer, GraphMutation, MoveGenerator, DEFAULT_MEMO_CAPACITY};
 use dlperf_graph::Graph;
 use dlperf_kernels::MemoCache;
 use dlperf_models::DlrmConfig;
 
-use crate::builder::{DistributedDlrm, ParallelismStrategy};
+use crate::builder::ParallelismStrategy;
 use crate::plan::ShardingPlan;
 use crate::predictor::DistributedPredictor;
 
@@ -57,7 +56,7 @@ pub struct DistribAxis {
     worlds: Vec<usize>,
     strategies: Vec<ParallelismStrategy>,
     max_rebalances: usize,
-    cache: Arc<MemoCache>,
+    cache: MemoCache,
 }
 
 impl DistribAxis {
@@ -75,7 +74,7 @@ impl DistribAxis {
             worlds,
             strategies,
             max_rebalances: 8,
-            cache: Arc::new(MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY)),
+            cache: MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY),
         }
     }
 
@@ -153,14 +152,8 @@ impl ExtraScorer<DistribMove> for DistribAxis {
         if !Self::composes_with(mutations) {
             return Err("distributed axis only composes with batch resizes".into());
         }
-        let mut config = self.config.clone();
-        config.batch_size = self.batch_of(mutations);
-        let job = DistributedDlrm::new(config, extra.plan.clone())
-            .map_err(|e| e.to_string())?
-            .with_strategy(extra.strategy);
-        self.predictor
-            .predict_memoized(&job, &self.cache)
-            .map(|p| p.e2e_us)
-            .map_err(|e| format!("lowering failed: {e}"))
+        let config = DlrmConfig { batch_size: self.batch_of(mutations), ..self.config.clone() };
+        let plan = extra.plan.clone();
+        self.predictor.price(config, plan, extra.strategy, None, &self.cache).map(|p| p.e2e_us)
     }
 }

@@ -2,13 +2,15 @@
 //! [`dlperf_core::sweep`].
 //!
 //! Enumerates candidate `(strategy, world size, topology, sharding plan)`
-//! scenarios for a DLRM config and prices them all through
-//! [`DistributedPredictor`] on [`dlperf_core::sweep::par_map`] — the same
-//! work-distributing, cancellation-aware primitive the single-GPU engine
-//! uses — with one shared [`MemoCache`] answering kernel-model queries.
-//! Data-parallel MLP segments are identical across ranks and plans, so the
-//! cache hit rate across a plan sweep is high and the parallel sweep stays
-//! bitwise identical to the sequential one (pure evaluations, index-slotted
+//! scenarios for a DLRM config and prices them all on
+//! [`dlperf_core::sweep::par_map`] — the same work-distributing,
+//! cancellation-aware primitive the single-GPU engine uses. Each cell goes
+//! through the crate's one job pricer (the one the search's
+//! [`crate::DistribAxis`] uses): build the job, resolve its topology, walk
+//! every rank's segments through one shared [`MemoCache`]. Data-parallel
+//! MLP segments are identical across ranks and plans, so the cache hit
+//! rate across a plan sweep is high, and the parallel sweep stays bitwise
+//! identical to the sequential one (pure evaluations, index-slotted
 //! results).
 //!
 //! Scenario enumeration is *total*: a cell whose plan cannot be
@@ -23,9 +25,9 @@ use dlperf_kernels::{MemoCache, MemoCacheStats};
 use dlperf_models::DlrmConfig;
 use dlperf_runtime::CancellationToken;
 
-use crate::builder::{DistributedDlrm, ParallelismStrategy};
+use crate::builder::ParallelismStrategy;
 use crate::plan::ShardingPlan;
-use crate::predictor::{DistributedPrediction, DistributedPredictor, SegmentBaselines};
+use crate::predictor::{DistributedPrediction, DistributedPredictor};
 use crate::topology::Topology;
 
 /// One cell of a sharding sweep: a parallelism strategy, a candidate plan
@@ -44,18 +46,6 @@ pub struct ShardingScenario {
     /// The interconnect to price collectives on; `None` derives one from
     /// the predictor's device class.
     pub topology: Option<Topology>,
-}
-
-impl ShardingScenario {
-    /// A plain hybrid-parallel cell on the derived topology.
-    pub fn of(label: impl Into<String>, plan: ShardingPlan) -> Self {
-        ShardingScenario {
-            label: label.into(),
-            plan: Ok(plan),
-            strategy: ParallelismStrategy::Hybrid,
-            topology: None,
-        }
-    }
 }
 
 /// The outcome of one sharding scenario.
@@ -81,25 +71,8 @@ pub struct ShardingResult {
 /// "skewed" plan is the trivial plan, labeled as such.
 pub fn enumerate_plans(tables: usize, worlds: &[usize]) -> Vec<ShardingScenario> {
     let mut out = Vec::new();
-    for &w in worlds {
-        out.push(ShardingScenario::of(
-            format!("w{w}/round_robin"),
-            ShardingPlan::round_robin(tables, w),
-        ));
-        let block: Vec<usize> = (0..tables).map(|t| t * w / tables.max(1)).collect();
-        out.push(cell_of(format!("w{w}/block"), ShardingPlan::new(block, w)));
-        out.push(cell_of(format!("w{w}/skewed0"), ShardingPlan::new(vec![0; tables], w)));
-    }
+    push_cells(&mut out, tables, worlds, "", ParallelismStrategy::Hybrid, |_| None);
     out
-}
-
-fn cell_of(label: String, plan: Result<ShardingPlan, crate::DistribError>) -> ShardingScenario {
-    ShardingScenario {
-        label,
-        plan: plan.map_err(|e| e.to_string()),
-        strategy: ParallelismStrategy::Hybrid,
-        topology: None,
-    }
 }
 
 /// Enumerates the full `(topology × strategy × world × plan)` matrix:
@@ -117,35 +90,43 @@ pub fn enumerate_matrix(
     device: &DeviceSpec,
 ) -> Vec<ShardingScenario> {
     let mut out = Vec::new();
-    for &topo_name in topologies {
+    for &name in topologies {
         for &strategy in strategies {
-            for cell in enumerate_plans(tables, worlds) {
-                let world = cell
-                    .plan
-                    .as_ref()
-                    .map(|p| p.world())
-                    .unwrap_or_else(|_| world_of_label(&cell.label));
-                let topology = Topology::from_name(topo_name, device, world);
-                out.push(ShardingScenario {
-                    label: format!("{topo_name}/{strategy}/{}", cell.label),
-                    plan: cell.plan,
-                    strategy,
-                    topology: Some(topology),
-                });
-            }
+            push_cells(&mut out, tables, worlds, &format!("{name}/{strategy}/"), strategy, |w| {
+                Some(Topology::from_name(name, device, w))
+            });
         }
     }
     out
 }
 
-/// Recovers the world size from an enumerated label (`"w{w}/..."`) for
-/// cells whose plan failed to build; falls back to 1.
-fn world_of_label(label: &str) -> usize {
-    label
-        .strip_prefix('w')
-        .and_then(|rest| rest.split('/').next())
-        .and_then(|w| w.parse().ok())
-        .unwrap_or(1)
+/// Appends the three candidate cells of each world in `worlds`, labeled
+/// `"{prefix}w{world}/{plan}"`, run under `strategy` on `topology(world)`.
+fn push_cells(
+    out: &mut Vec<ShardingScenario>,
+    tables: usize,
+    worlds: &[usize],
+    prefix: &str,
+    strategy: ParallelismStrategy,
+    topology: impl Fn(usize) -> Option<Topology>,
+) {
+    for &w in worlds {
+        let block: Vec<usize> = (0..tables).map(|t| t * w / tables.max(1)).collect();
+        let plans = [
+            ("round_robin", Ok(ShardingPlan::round_robin(tables, w))),
+            ("block", ShardingPlan::new(block, w)),
+            ("skewed0", ShardingPlan::new(vec![0; tables], w)),
+        ];
+        let topology = topology(w);
+        for (name, plan) in plans {
+            out.push(ShardingScenario {
+                label: format!("{prefix}w{w}/{name}"),
+                plan: plan.map_err(|e| e.to_string()),
+                strategy,
+                topology: topology.clone(),
+            });
+        }
+    }
 }
 
 /// What a sharding sweep produced.
@@ -175,8 +156,8 @@ impl ShardingSweepOutcome {
 
 /// Prices every scenario on `threads` workers, sharing one memo cache.
 /// Results are bitwise identical at any thread count: every cell is a
-/// pure function of `(predictor, config, scenario)`, and cells pinned to
-/// a topology or strategy price through the same shared baselines.
+/// pure function of `(predictor, config, scenario)`, and memo hits return
+/// the bits a miss would compute.
 pub fn sweep_shardings(
     predictor: &DistributedPredictor,
     config: &DlrmConfig,
@@ -185,76 +166,19 @@ pub fn sweep_shardings(
     token: &CancellationToken,
 ) -> ShardingSweepOutcome {
     let cache = MemoCache::new();
-    // Segment baselines from the first buildable scenario: every job's
-    // segments then re-predict incrementally against them (identical DP
-    // segments splice outright; sharded segments recompute only their
-    // dirty embedding span). Values are bitwise identical to the plain
-    // memoized path, which remains the fallback when nothing builds.
-    let baselines = (!token.is_cancelled())
-        .then(|| {
-            scenarios
-                .iter()
-                .find_map(|s| {
-                    let plan = s.plan.as_ref().ok()?;
-                    DistributedDlrm::new(config.clone(), plan.clone())
-                        .ok()
-                        .map(|j| j.with_strategy(s.strategy))
-                })
-                .map(|job| SegmentBaselines::new(predictor, &job, Some(&cache)))
-        })
-        .flatten();
     let results = par_map(threads, token, scenarios, |_, s| {
-        let plan = match &s.plan {
-            Ok(p) => p.clone(),
-            Err(reason) => {
-                return ShardingResult {
-                    label: s.label.clone(),
-                    prediction: None,
-                    error: Some(format!("degraded: {reason}")),
-                    degraded: Some(reason.clone()),
-                }
+        let priced = s.plan.as_ref().map(|plan| {
+            let topology = s.topology.as_ref();
+            predictor.price(config.clone(), plan.clone(), s.strategy, topology, &cache)
+        });
+        let (prediction, error, degraded) = match priced {
+            Err(reason) => (None, Some(format!("degraded: {reason}")), Some(reason.clone())),
+            Ok(Err(e)) => (None, Some(e), None),
+            Ok(Ok(p)) => {
+                (Some(p), None, s.topology.as_ref().and_then(|t| t.degraded().map(str::to_string)))
             }
         };
-        let built = DistributedDlrm::new(config.clone(), plan).map(|j| j.with_strategy(s.strategy));
-        match built {
-            Ok(job) => {
-                let cell_predictor;
-                let active: &DistributedPredictor = match &s.topology {
-                    Some(t) => {
-                        cell_predictor = predictor.clone().with_topology(t.clone());
-                        &cell_predictor
-                    }
-                    None => predictor,
-                };
-                let priced = match &baselines {
-                    Some(b) => active.predict_incremental(&job, b, Some(&cache)).map(|r| r.0),
-                    None => active.predict_memoized(&job, &cache),
-                };
-                match priced {
-                    Ok(p) => ShardingResult {
-                        label: s.label.clone(),
-                        prediction: Some(p),
-                        error: None,
-                        degraded: s
-                            .topology
-                            .as_ref()
-                            .and_then(|t| t.degraded().map(str::to_string)),
-                    },
-                    Err(e) => ShardingResult {
-                        label: s.label.clone(),
-                        prediction: None,
-                        error: Some(format!("lowering failed: {e}")),
-                        degraded: None,
-                    },
-                }
-            }
-            Err(e) => ShardingResult {
-                label: s.label.clone(),
-                prediction: None,
-                error: Some(format!("invalid plan: {e}")),
-                degraded: None,
-            },
-        }
+        ShardingResult { label: s.label.clone(), prediction, error, degraded }
     });
     ShardingSweepOutcome { results, cache: cache.stats() }
 }
@@ -262,6 +186,7 @@ pub fn sweep_shardings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DistributedDlrm;
     use dlperf_core::pipeline::Pipeline;
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::CalibrationEffort;

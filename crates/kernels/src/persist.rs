@@ -308,6 +308,24 @@ mod tests {
     }
 
     #[test]
+    fn bundle_without_lane_width_field_loads_as_pre_contract() {
+        let bundle =
+            ModelRegistry::calibrate_bundle(&DeviceSpec::v100(), CalibrationEffort::Quick, 5);
+        // A pre-contract bundle: the same payload with no `lane_width`
+        // field at all, sealed as `to_json` would.
+        let mut payload: serde::Value =
+            serde_json::from_str(&serde_json::to_string(&bundle).unwrap()).unwrap();
+        let serde::Value::Obj(entries) = &mut payload else { panic!("bundle is an object") };
+        let before = entries.len();
+        entries.retain(|(k, _)| k != "lane_width");
+        assert_eq!(entries.len(), before - 1, "the field must be removed");
+        let sealed = dlperf_runtime::seal(BUNDLE_SCHEMA, BUNDLE_VERSION, &payload).unwrap();
+        let loaded = RegistryBundle::from_json(&sealed).expect("missing lane_width defaults to 0");
+        assert_eq!(loaded.lane_width, 0);
+        assert_eq!(loaded.device.name, bundle.device.name);
+    }
+
+    #[test]
     fn legacy_bare_bundle_still_loads() {
         let bundle =
             ModelRegistry::calibrate_bundle(&DeviceSpec::v100(), CalibrationEffort::Quick, 5);

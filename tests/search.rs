@@ -12,6 +12,9 @@
 //!   the search must rank it #1 and its predicted delta must equal, bit
 //!   for bit, a full-walk re-prediction of the fused graph (the
 //!   incremental splice never changes an answer, only its cost).
+//! * **Extra axis** — the multi-GPU `DistribAxis` plugged into the same
+//!   search ranks its moves deterministically, each scored exactly as
+//!   the distributed predictor prices the rebuilt job.
 
 use std::sync::OnceLock;
 
@@ -20,26 +23,32 @@ use dlrm_perf_model::core::search::{
     GraphMoves, NoExtra, OptimizationReport, OptimizationSearch, SearchConfig,
 };
 use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation, Scenario, SweepEngine};
+use dlrm_perf_model::distrib::{
+    DistribAxis, DistribMove, DistributedDlrm, DistributedPredictor, ParallelismStrategy,
+};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;
 use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::DlrmConfig;
 use proptest::prelude::*;
 
+/// The searched DLRM. Unbatched embeddings: the graph keeps its
+/// individual `EmbeddingBag` ops, so `FuseEmbeddingBags` is a legal (and
+/// planted) optimization.
+fn config() -> DlrmConfig {
+    DlrmConfig {
+        rows_per_table: vec![200_000; 4],
+        batched_embedding: false,
+        ..DlrmConfig::default_config(512)
+    }
+}
+
 /// One shared calibration (the expensive part); each case builds a fresh
 /// search over clones.
 fn base() -> &'static (Vec<Pipeline>, Graph) {
     static BASE: OnceLock<(Vec<Pipeline>, Graph)> = OnceLock::new();
     BASE.get_or_init(|| {
-        // Unbatched embeddings: the graph keeps its individual
-        // `EmbeddingBag` ops, so `FuseEmbeddingBags` is a legal (and
-        // planted) optimization.
-        let g = DlrmConfig {
-            rows_per_table: vec![200_000; 4],
-            batched_embedding: false,
-            ..DlrmConfig::default_config(512)
-        }
-        .build();
+        let g = config().build();
         let pipelines = [DeviceSpec::v100(), DeviceSpec::p100()]
             .iter()
             .map(|d| {
@@ -53,8 +62,8 @@ fn base() -> &'static (Vec<Pipeline>, Graph) {
 /// Full bitwise fingerprint of a report: descriptions, score bits, CI
 /// bits, eval/prune counts.
 #[allow(clippy::type_complexity)]
-fn fingerprint(
-    r: &OptimizationReport,
+fn fingerprint<X>(
+    r: &OptimizationReport<X>,
 ) -> (u64, Vec<(String, u64, u64, Option<u64>, Option<u64>)>, usize, usize) {
     (
         r.baseline_e2e_us.to_bits(),
@@ -153,6 +162,56 @@ fn sweep_and_search_price_a_candidate_to_the_same_bits() {
             "{}",
             sc.description
         );
+    }
+}
+
+#[test]
+fn distrib_axis_scores_match_the_distributed_predictor_bitwise() {
+    // The multi-GPU axis in the same search as the graph and device
+    // axes: its moves rank deterministically, and each one scores what
+    // the distributed predictor says about the rebuilt job.
+    let (pipelines, g) = base();
+    let predictor =
+        DistributedPredictor::new(pipelines[0].predictor().clone(), DeviceSpec::v100());
+    let axis = DistribAxis::new(
+        config(),
+        predictor.clone(),
+        vec![2, 4],
+        ParallelismStrategy::ALL.to_vec(),
+    );
+    let run = |threads: usize| {
+        let cfg = SearchConfig { max_depth: 2, top_k: 100, threads, ..SearchConfig::default() };
+        OptimizationSearch::<DistribMove>::new(pipelines)
+            .with_config(cfg)
+            .with_graph_moves(GraphMoves { batches: vec![1024], ..GraphMoves::default() })
+            .with_extra_axis(&axis, &axis)
+            .run(g)
+            .expect("search runs")
+    };
+    let report = run(1);
+    assert_eq!(fingerprint(&run(2)), fingerprint(&report), "2 threads diverged from 1");
+
+    let distributed: Vec<_> =
+        report.ranked.iter().filter(|sc| sc.candidate.extra.is_some()).collect();
+    assert!(!distributed.is_empty(), "no multi-GPU move was ranked");
+    for sc in distributed {
+        let mv = sc.candidate.extra.as_ref().expect("filtered on extra");
+        let batch = sc
+            .candidate
+            .mutations
+            .iter()
+            .rev()
+            .find_map(|m| match m {
+                GraphMutation::ResizeBatch(b) => Some(*b),
+                _ => None,
+            })
+            .unwrap_or(config().batch_size);
+        let cfg = DlrmConfig { batch_size: batch, ..config() };
+        let job = DistributedDlrm::new(cfg, mv.plan.clone())
+            .expect("ranked job builds")
+            .with_strategy(mv.strategy);
+        let direct = predictor.predict(&job).expect("ranked job prices");
+        assert_eq!(sc.e2e_us.to_bits(), direct.e2e_us.to_bits(), "{}", sc.description);
     }
 }
 

@@ -202,8 +202,7 @@ proptest! {
     /// The full `(topology × strategy × world × plan)` matrix prices
     /// bitwise identically at 1, 2, and 8 threads — including the
     /// degraded cells unknown topology names produce — and the shared
-    /// memo cache plus incremental baselines change nothing against the
-    /// plain uncached predictor.
+    /// memo cache changes nothing against the plain uncached predictor.
     #[test]
     fn topology_axis_sweep_is_bitwise_stable_across_threads_and_cache(
         topo_mask in 1usize..16,
